@@ -21,7 +21,7 @@ import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("batch-2d", "embed-64d", "ingest-churn")
+WORKLOADS = ("varden-2d", "embed-64d")
 BUILD_TIMEOUT_S = 850
 RUN_TIMEOUT_S = 170
 

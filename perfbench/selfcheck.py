@@ -7,7 +7,8 @@ Run from the repository root. Checks that BENCHMARK.json and
 perfbench/metrics.json name the same metrics, then runs every workload at
 self-check sizes (--tiny, one second) with tracing off and on, through the
 command BENCHMARK.json gives, and fails if a run is wrong or if any metric
-named for that workload is missing, lacks its unit or is not a number.
+of BENCHMARK.json is missing, lacks its unit or is not a number: every
+workload reports every metric.
 """
 import json
 import math
@@ -34,19 +35,20 @@ def main():
             problems.append(f"{name}: in metrics.json, not in BENCHMARK.json")
         units.update(declared)
     workloads = [w["name"] for w in bench["workloads"]]
-    movable = set(spec["end_to_end"]) | {"fail_ratio"}
-    for kind in ("end_to_end", "per_layer"):
-        for name, entry in spec[kind].items():
-            for w in entry["workloads"]:
-                if w not in workloads:
-                    problems.append(f"{name}: unknown workload {w}")
-            for target in entry.get("moves", []):
-                if target not in movable:
-                    problems.append(f"{name}: moves unknown metric {target}")
+    if set(spec["workloads"]) != set(workloads):
+        problems.append("metrics.json and BENCHMARK.json name different "
+                        "workloads")
+    for name, entry in spec["per_layer"].items():
+        for w in entry["on"]:
+            if w not in workloads:
+                problems.append(f"{name}: unknown workload {w}")
+        for target in entry["moves"]:
+            if target not in spec["end_to_end"]:
+                problems.append(f"{name}: moves unknown metric {target}")
 
     for w in workloads:
         for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
-            want = [n for n, e in spec[kind].items() if w in e["workloads"]]
+            want = list(spec[kind])
             cmd = bench["command"] + ["--workload", w, "--seed", "1",
                                       "--seconds", "1", "--trace", str(trace),
                                       "--tiny"]

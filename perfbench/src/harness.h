@@ -137,8 +137,7 @@ class ScopedSpan {
 void ReportSpans(const Options& o, Report& rep);
 
 // ---- workloads ----
-void RunBatch2d(const Options& o, Report& rep);
+void RunVarden2d(const Options& o, Report& rep);
 void RunEmbed64d(const Options& o, Report& rep);
-void RunIngestChurn(const Options& o, Report& rep);
 
 }  // namespace perfbench

@@ -1,6 +1,6 @@
 // perfbench: the repository benchmark's measuring program.
 //
-//   perfbench --workload <batch-2d|embed-64d|ingest-churn>
+//   perfbench --workload <varden-2d|embed-64d>
 //             --seed <n> --seconds <s> --trace <0|1>
 //             [--spans-dir <dir>] [--tiny]
 //
@@ -43,7 +43,7 @@ bool SanitizerBuild() {
 int Usage(const char* msg) {
   fprintf(stderr, "perfbench: %s\n", msg);
   fprintf(stderr,
-          "usage: perfbench --workload <batch-2d|embed-64d|ingest-churn> "
+          "usage: perfbench --workload <varden-2d|embed-64d> "
           "--seed <n> --seconds <s> --trace <0|1> [--spans-dir <dir>] "
           "[--tiny]\n");
   return 2;
@@ -106,12 +106,10 @@ int main(int argc, char** argv) {
   rep.Note("build_type", build_type);
   rep.Note("seconds", o.seconds);
 
-  if (o.workload == "batch-2d") {
-    perfbench::RunBatch2d(o, rep);
+  if (o.workload == "varden-2d") {
+    perfbench::RunVarden2d(o, rep);
   } else if (o.workload == "embed-64d") {
     perfbench::RunEmbed64d(o, rep);
-  } else if (o.workload == "ingest-churn") {
-    perfbench::RunIngestChurn(o, rep);
   } else {
     return Usage(("unknown workload '" + o.workload + "'").c_str());
   }

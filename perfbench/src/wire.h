@@ -1,4 +1,4 @@
-// The ingest-churn workload's wire: an in-process NetServer host and a
+// The churn rounds' wire: an in-process NetServer host and a
 // blocking request/reply loopback connection.
 #pragma once
 
@@ -34,7 +34,7 @@ class ServerHost {
 };
 
 /// Blocking loopback connection. Requests are text lines or binary frames;
-/// every reply the ingest-churn workload asks for is one text line.
+/// every reply the churn rounds ask for is one text line.
 class Conn {
  public:
   explicit Conn(uint16_t port);
