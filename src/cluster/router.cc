@@ -1,52 +1,31 @@
 // Router-tier verb implementations (see router.h for the architecture and
 // exactness/failure contracts).
 //
-// Response formatting deliberately reuses the single-node format strings
-// (net/protocol.cc): a client sees the same bytes whether it talks to one
-// worker or to a router fronting many — except the built=/reused= keys,
-// which name the router's own merged artifacts.
+// Requests are parsed by the single-node wire grammar (net/protocol.h),
+// reply frames go through the frame.h codecs, and merged answers are
+// validated and shaped by engine/answer.h: a client sees the same bytes
+// whether it talks to one worker or to a router fronting many — except
+// the built=/reused= keys, which name the router's own merged artifacts.
 #include "cluster/router.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <string_view>
 
-#include "dendrogram/cluster_extraction.h"
-#include "dendrogram/reachability.h"
-#include "graph/kruskal.h"
-#include "hdbscan/stability.h"
+#include "engine/answer.h"
 #include "obs/trace.h"
-#include "obs/verb_counters.h"
 #include "store/manifest.h"
-#include "util/check.h"
 
 namespace parhc {
 namespace cluster {
 
 namespace {
 
-std::string StrPrintf(const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  char buf[512];
-  int n = vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) return {};
-  if (static_cast<size_t>(n) < sizeof buf) return std::string(buf, n);
-  std::string big(static_cast<size_t>(n) + 1, '\0');
-  va_start(ap, fmt);
-  vsnprintf(&big[0], big.size(), fmt, ap);
-  va_end(ap);
-  big.resize(static_cast<size_t>(n));
-  return big;
-}
+using net::StrPrintf;
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(
@@ -71,6 +50,31 @@ bool DenseOfLocal(const std::vector<uint32_t>& worker_local,
   if (it == worker_local.end() || *it != local) return false;
   *dense = worker_dense[static_cast<size_t>(it - worker_local.begin())];
   return true;
+}
+
+/// A router->worker frame whose payload starts with the dataset name
+/// (u16 length + bytes), followed by `tail`.
+net::WireMessage NameFrame(uint8_t opcode, const std::string& name,
+                           const std::string& tail = "") {
+  net::WireMessage msg;
+  msg.binary = true;
+  msg.opcode = opcode;
+  net::PutU16(&msg.payload, static_cast<uint16_t>(name.size()));
+  msg.payload += name;
+  msg.payload += tail;
+  return msg;
+}
+
+/// `req` for every worker whose slice is non-empty, null for the rest
+/// (the target list Router::FanOut takes).
+template <typename Slice>
+std::vector<const net::WireMessage*> ToLiveSlices(
+    const std::vector<Slice>& slices, const net::WireMessage& req) {
+  std::vector<const net::WireMessage*> targets(slices.size(), nullptr);
+  for (size_t w = 0; w < slices.size(); ++w) {
+    if (!slices[w].empty()) targets[w] = &req;
+  }
+  return targets;
 }
 
 }  // namespace
@@ -139,17 +143,9 @@ std::string Router::Broadcast(const std::string& line,
 
 std::string Router::ForwardRead(const std::string& line,
                                 const std::string& verb) {
-  forwards_.fetch_add(1, std::memory_order_relaxed);
   net::WireMessage req;
   req.text = line;
-  for (size_t attempt = 0; attempt < pool_.size(); ++attempt) {
-    Upstream* up = pool_.NextHealthy();
-    if (up == nullptr) break;
-    net::WireMessage reply;
-    std::string raw;
-    if (up->Roundtrip(req, &reply, &raw)) return raw;
-  }
-  return StrPrintf("err %s: no healthy upstream\n", verb.c_str());
+  return ForwardFrame(req, verb);
 }
 
 std::string Router::ForwardFrame(const net::WireMessage& req,
@@ -424,6 +420,90 @@ std::string Router::ShardedLoad(const std::string& name,
 
 // ---- merged query pipeline (sharded datasets) ---------------------------
 
+std::string Router::FanOut(
+    const std::vector<const net::WireMessage*>& reqs, uint8_t reply_opcode,
+    const char* phase,
+    const std::function<std::string(size_t, const std::string&)>& accept,
+    bool* worker_text) {
+  std::vector<std::string> errs(pool_.size());
+  std::vector<uint8_t> verbatim(pool_.size(), 0);
+  pool_.ForEach([&](size_t w, Upstream& up) {
+    if (reqs[w] == nullptr) return;
+    net::WireMessage reply;
+    if (!up.Roundtrip(*reqs[w], &reply, nullptr)) {
+      errs[w] = "worker " + up.addr() + " failed during " + phase;
+    } else if (!reply.binary) {
+      errs[w] = reply.text;
+      verbatim[w] = 1;
+    } else if (reply.opcode != reply_opcode) {
+      errs[w] = "unexpected frame reply";
+    } else if (std::string bad = accept(w, reply.payload); !bad.empty()) {
+      errs[w] = "worker " + up.addr() + ' ' + bad;
+    }
+  });
+  for (size_t w = 0; w < errs.size(); ++w) {
+    if (errs[w].empty()) continue;
+    if (worker_text != nullptr) *worker_text = verbatim[w] != 0;
+    return errs[w];
+  }
+  return "";
+}
+
+std::string Router::FanKnn(const std::vector<const net::WireMessage*>& reqs,
+                           uint32_t count, uint32_t k,
+                           std::vector<std::vector<double>>* rows,
+                           bool* worker_text) {
+  std::vector<std::vector<double>> per(pool_.size());
+  std::string err = FanOut(
+      reqs, net::kOpKnnReply, "kNN fan-out",
+      [&](size_t w, const std::string& payload) -> std::string {
+        net::KnnReply r;
+        if (!net::DecodeKnnReply(payload, &r) || r.count != count ||
+            r.k != k) {
+          return "sent a malformed kNN reply";
+        }
+        per[w] = std::move(r.rows);
+        return "";
+      },
+      worker_text);
+  for (size_t w = 0; w < per.size(); ++w) {
+    if (reqs[w] != nullptr) rows->push_back(std::move(per[w]));
+  }
+  return err;
+}
+
+bool Router::MergeSliceMsts(
+    Dataset& ds, const std::vector<const net::WireMessage*>& reqs,
+    const char* phase,
+    const std::function<std::vector<WeightedEdge>()>& cross,
+    std::vector<WeightedEdge>* mst, std::string* fail) {
+  Merged& m = *ds.merged;
+  std::vector<std::vector<WeightedEdge>> parts(pool_.size());
+  *fail = FanOut(
+      reqs, net::kOpEdgesReply, phase,
+      [&](size_t w, const std::string& payload) -> std::string {
+        if (!net::DecodeEdgesReply(payload, &parts[w])) {
+          return "sent a malformed edges reply";
+        }
+        for (WeightedEdge& e : parts[w]) {
+          if (!DenseOfLocal(m.worker_local[w], m.worker_dense[w], e.u,
+                            &e.u) ||
+              !DenseOfLocal(m.worker_local[w], m.worker_dense[w], e.v,
+                            &e.v)) {
+            return "returned an unknown edge id";
+          }
+        }
+        return "";
+      });
+  if (!fail->empty()) return false;
+  std::vector<WeightedEdge> candidates = cross();
+  for (const std::vector<WeightedEdge>& part : parts) {
+    candidates.insert(candidates.end(), part.begin(), part.end());
+  }
+  *mst = KruskalMerge(ds.live_n, std::move(candidates));
+  return true;
+}
+
 bool Router::EnsureMirror(Dataset& ds, EngineResponse* out,
                           std::string* fail) {
   if (ds.merged && ds.merged->epoch == ds.epoch && ds.merged->mirror_ok) {
@@ -461,67 +541,34 @@ bool Router::EnsureMirror(Dataset& ds, EngineResponse* out,
   merged->worker_dense.assign(w_count, {});
   merged->worker_local.assign(w_count, {});
   std::vector<WorkerSlice> slices(w_count);
-  std::vector<std::string> errs(w_count);
-  pool_.ForEach([&](size_t w, Upstream& up) {
-    if (expect[w].empty()) return;
-    std::string payload;
-    net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-    payload += ds.name;
-    net::WireMessage req;
-    req.binary = true;
-    req.opcode = net::kOpExportPoints;
-    req.payload = std::move(payload);
-    net::WireMessage reply;
-    if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during point export";
-      return;
-    }
-    if (!reply.binary || reply.opcode != net::kOpPointsReply) {
-      errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-      return;
-    }
-    net::PayloadReader rd(reply.payload);
-    int rdim = static_cast<int>(rd.GetU16());
-    uint32_t count = rd.GetU32();
-    if (!rd.ok() || rdim != dim || count != expect[w].size()) {
-      errs[w] = "worker " + up.addr() +
-                " slice does not match the placement map";
-      return;
-    }
-    std::vector<uint32_t>& wl = merged->worker_local[w];
-    std::vector<uint32_t>& wd = merged->worker_dense[w];
-    wl.resize(count);
-    wd.resize(count);
-    for (uint32_t l = 0; l < count; ++l) {
-      uint32_t local = rd.GetU32();
-      if (local != expect[w][l].first) {
-        errs[w] = "worker " + up.addr() +
-                  " slice does not match the placement map";
-        return;
-      }
-      wl[l] = local;
-      wd[l] = dense_of[expect[w][l].second];
-    }
-    WorkerSlice& s = slices[w];
-    s.dense = wd;
-    s.coords.resize(static_cast<size_t>(count) * dim);
-    for (double& v : s.coords) v = rd.GetF64();
-    if (!rd.ok() || rd.remaining() != 0) {
-      errs[w] = "worker " + up.addr() + " sent a malformed points reply";
-      return;
-    }
-    for (uint32_t l = 0; l < count; ++l) {
-      std::memcpy(&merged->coords[static_cast<size_t>(wd[l]) * dim],
-                  &s.coords[static_cast<size_t>(l) * dim],
-                  sizeof(double) * static_cast<size_t>(dim));
-    }
-  });
-  for (size_t w = 0; w < w_count; ++w) {
-    if (!errs[w].empty()) {
-      *fail = errs[w];
-      return false;
-    }
-  }
+  net::WireMessage req = NameFrame(net::kOpExportPoints, ds.name);
+  *fail = FanOut(
+      ToLiveSlices(expect, req), net::kOpPointsReply, "point export",
+      [&](size_t w, const std::string& payload) -> std::string {
+        net::PointsReply pts;
+        if (!net::DecodePointsReply(payload, &pts)) {
+          return "sent a malformed points reply";
+        }
+        size_t count = pts.gids.size();
+        bool match = pts.dim == dim && count == expect[w].size();
+        for (size_t l = 0; match && l < count; ++l) {
+          match = pts.gids[l] == expect[w][l].first;
+        }
+        if (!match) return "slice does not match the placement map";
+        std::vector<uint32_t>& wd = merged->worker_dense[w];
+        wd.resize(count);
+        for (size_t l = 0; l < count; ++l) {
+          wd[l] = dense_of[expect[w][l].second];
+          std::memcpy(&merged->coords[static_cast<size_t>(wd[l]) * dim],
+                      &pts.coords[l * dim],
+                      sizeof(double) * static_cast<size_t>(dim));
+        }
+        merged->worker_local[w] = std::move(pts.gids);
+        slices[w].dense = wd;
+        slices[w].coords = std::move(pts.coords);
+        return "";
+      });
+  if (!fail->empty()) return false;
   merged->dense_gids = std::move(dense_gids);
   merged->merger = MakeMerger(dim);
   if (!merged->merger) {
@@ -544,50 +591,16 @@ bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
   }
   size_t n = ds.live_n;
   size_t K = std::min(std::max(k, m.knn_k), n);
+  std::string tail;
+  net::PutU32(&tail, static_cast<uint32_t>(K));
+  net::PutU16(&tail, static_cast<uint16_t>(ds.dim));
+  net::PutU32(&tail, static_cast<uint32_t>(n));
+  for (double v : m.coords) net::PutF64(&tail, v);
+  net::WireMessage req = NameFrame(net::kOpKnnQuery, ds.name, tail);
   std::vector<std::vector<double>> worker_rows;
-  std::vector<std::string> errs(pool_.size());
-  std::mutex rows_mu;
-  pool_.ForEach([&](size_t w, Upstream& up) {
-    if (m.worker_dense[w].empty()) return;
-    std::string payload;
-    net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-    payload += ds.name;
-    net::PutU32(&payload, static_cast<uint32_t>(K));
-    net::PutU16(&payload, static_cast<uint16_t>(ds.dim));
-    net::PutU32(&payload, static_cast<uint32_t>(n));
-    for (double v : m.coords) net::PutF64(&payload, v);
-    net::WireMessage req;
-    req.binary = true;
-    req.opcode = net::kOpKnnQuery;
-    req.payload = std::move(payload);
-    net::WireMessage reply;
-    if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during kNN fan-out";
-      return;
-    }
-    if (!reply.binary || reply.opcode != net::kOpKnnReply) {
-      errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-      return;
-    }
-    net::PayloadReader rd(reply.payload);
-    uint32_t count = rd.GetU32();
-    uint32_t rk = rd.GetU32();
-    if (!rd.ok() || count != n || rk != K ||
-        rd.remaining() != static_cast<size_t>(n) * K * sizeof(double)) {
-      errs[w] = "worker " + up.addr() + " sent a malformed kNN reply";
-      return;
-    }
-    std::vector<double> rows(static_cast<size_t>(n) * K);
-    for (double& v : rows) v = rd.GetF64();
-    std::lock_guard<std::mutex> lock(rows_mu);
-    worker_rows.push_back(std::move(rows));
-  });
-  for (const std::string& e : errs) {
-    if (!e.empty()) {
-      *fail = e;
-      return false;
-    }
-  }
+  *fail = FanKnn(ToLiveSlices(m.worker_dense, req), static_cast<uint32_t>(n),
+                 static_cast<uint32_t>(K), &worker_rows);
+  if (!fail->empty()) return false;
   m.knn_sq = MergeKnnRows(n, K, worker_rows);
   m.knn_k = K;
   m.knn_ok = true;
@@ -595,295 +608,117 @@ bool Router::EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
   return true;
 }
 
-std::shared_ptr<const std::vector<double>> Router::CoreDist(
-    Dataset& ds, int min_pts, EngineResponse* out, std::string* fail) {
-  Merged& m = *ds.merged;
-  const std::string key = "cd@" + std::to_string(min_pts);
-  auto it = m.core.find(min_pts);
-  if (it != m.core.end()) {
-    TraceArtifact(out, /*built=*/false, key);
-    return it->second;
-  }
-  if (!EnsureKnn(ds, static_cast<size_t>(min_pts), out, fail)) return nullptr;
-  size_t n = ds.live_n;
-  size_t stride = m.knn_k;
-  auto cd = std::make_shared<std::vector<double>>(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*cd)[i] = std::sqrt(m.knn_sq[i * stride + (min_pts - 1)]);
-  }
-  m.core.emplace(min_pts, cd);
-  TraceArtifact(out, /*built=*/true, key);
-  return cd;
-}
-
 ClusteringEntry* Router::Hdbscan(Dataset& ds, int min_pts, bool need_plot,
                                  EngineResponse* out, std::string* fail) {
   Merged& m = *ds.merged;
-  const std::string suffix = "@" + std::to_string(min_pts);
-  auto it = m.hdbscan.find(min_pts);
-  if (it == m.hdbscan.end()) {
-    auto cd = CoreDist(ds, min_pts, out, fail);
+  auto build_mst = [&]() -> std::unique_ptr<ClusteringEntry> {
+    auto cd = m.clusterings.CoreDist(
+        min_pts, ds.live_n, /*allow_build=*/true, out,
+        [&](size_t* stride) -> const std::vector<double>* {
+          if (!EnsureKnn(ds, static_cast<size_t>(min_pts), out, fail)) {
+            return nullptr;
+          }
+          *stride = m.knn_k;
+          return &m.knn_sq;
+        });
     if (!cd) return nullptr;
-    size_t n = ds.live_n;
-    std::vector<WeightedEdge> candidates;
-    std::vector<std::string> errs(pool_.size());
-    std::mutex cand_mu;
-    pool_.ForEach([&](size_t w, Upstream& up) {
-      if (m.worker_dense[w].empty()) return;
-      // Per-worker MR-MST under the *globally* merged core distances, in
-      // the worker's ascending-gid order.
-      std::string payload;
-      net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-      payload += ds.name;
-      net::PutU32(&payload,
-                  static_cast<uint32_t>(m.worker_dense[w].size()));
-      for (uint32_t dense : m.worker_dense[w]) {
-        net::PutF64(&payload, (*cd)[dense]);
-      }
-      net::WireMessage req;
-      req.binary = true;
-      req.opcode = net::kOpShardMrMst;
-      req.payload = std::move(payload);
-      net::WireMessage reply;
-      if (!up.Roundtrip(req, &reply, nullptr)) {
-        errs[w] = "worker " + up.addr() + " failed during MR-MST fan-out";
-        return;
-      }
-      if (!reply.binary || reply.opcode != net::kOpEdgesReply) {
-        errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-        return;
-      }
-      net::PayloadReader rd(reply.payload);
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) * 16) {
-        errs[w] = "worker " + up.addr() + " sent a malformed edges reply";
-        return;
-      }
-      std::vector<WeightedEdge> edges(count);
-      for (WeightedEdge& e : edges) {
-        uint32_t lu = rd.GetU32();
-        uint32_t lv = rd.GetU32();
-        double wgt = rd.GetF64();
-        uint32_t du = 0, dv = 0;
-        if (!DenseOfLocal(m.worker_local[w], m.worker_dense[w], lu, &du) ||
-            !DenseOfLocal(m.worker_local[w], m.worker_dense[w], lv, &dv)) {
-          errs[w] = "worker " + up.addr() + " returned an unknown edge id";
-          return;
-        }
-        e = {du, dv, wgt};
-      }
-      std::lock_guard<std::mutex> lock(cand_mu);
-      candidates.insert(candidates.end(), edges.begin(), edges.end());
-    });
-    for (const std::string& e : errs) {
-      if (!e.empty()) {
-        *fail = e;
-        return nullptr;
-      }
+    // Per-worker MR-MST under the *globally* merged core distances, in
+    // the worker's ascending-gid order.
+    std::vector<net::WireMessage> reqs(pool_.size());
+    std::vector<const net::WireMessage*> targets(pool_.size(), nullptr);
+    for (size_t w = 0; w < pool_.size(); ++w) {
+      if (m.worker_dense[w].empty()) continue;
+      std::string tail;
+      net::PutU32(&tail, static_cast<uint32_t>(m.worker_dense[w].size()));
+      for (uint32_t dense : m.worker_dense[w]) net::PutF64(&tail, (*cd)[dense]);
+      reqs[w] = NameFrame(net::kOpShardMrMst, ds.name, tail);
+      targets[w] = &reqs[w];
     }
-    std::vector<WeightedEdge> cross = m.merger->CrossMrEdges(*cd);
-    candidates.insert(candidates.end(), cross.begin(), cross.end());
-    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-    PARHC_CHECK_MSG(mst.size() + 1 == n,
-                    "cluster MR-MST candidates did not span");
-    auto entry = std::make_unique<ClusteringEntry>();
-    entry->core_dist = cd;
-    entry->mst_weight = TotalEdgeWeight(mst);
-    entry->mst =
-        std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-    TraceArtifact(out, /*built=*/true, "mst" + suffix);
-    it = m.hdbscan.emplace(min_pts, std::move(entry)).first;
-    EvictLruClusterings(m.hdbscan, m.core, min_pts);
-  } else {
-    TraceArtifact(out, /*built=*/false, "mst" + suffix);
-  }
-  ClusteringEntry& e = *it->second;
-  if (!e.dendrogram) {
-    e.dendrogram = BuildDendrogramArtifact(ds.live_n, *e.mst);
-    TraceArtifact(out, /*built=*/true, "dendro" + suffix);
-  } else {
-    TraceArtifact(out, /*built=*/false, "dendro" + suffix);
-  }
-  if (need_plot) {
-    if (!e.plot) {
-      e.plot = std::make_shared<const ReachabilityPlot>(
-          ComputeReachability(*e.dendrogram));
-      TraceArtifact(out, /*built=*/true, "reach" + suffix);
-    } else {
-      TraceArtifact(out, /*built=*/false, "reach" + suffix);
+    std::vector<WeightedEdge> mst;
+    if (!MergeSliceMsts(
+            ds, targets, "MR-MST fan-out",
+            [&] { return m.merger->CrossMrEdges(*cd); }, &mst, fail)) {
+      return nullptr;
     }
-  }
-  TouchClusteringEntry(e, m.clock);
-  return &e;
+    return NewClusteringEntry(cd, std::move(mst));
+  };
+  return m.clusterings.Get(min_pts, ds.live_n, need_plot,
+                           /*allow_build=*/true, out, build_mst);
 }
 
 bool Router::EnsureEmst(Dataset& ds, EngineResponse* out, std::string* fail) {
   Merged& m = *ds.merged;
-  if (m.emst_ok) {
-    TraceArtifact(out, /*built=*/false, "forest-emst");
-    return true;
-  }
-  size_t n = ds.live_n;
-  std::vector<WeightedEdge> candidates;
-  std::vector<std::string> errs(pool_.size());
-  std::mutex cand_mu;
-  pool_.ForEach([&](size_t w, Upstream& up) {
-    if (m.worker_dense[w].empty()) return;
-    std::string payload;
-    net::PutU16(&payload, static_cast<uint16_t>(ds.name.size()));
-    payload += ds.name;
-    net::WireMessage req;
-    req.binary = true;
-    req.opcode = net::kOpExportMst;
-    req.payload = std::move(payload);
-    net::WireMessage reply;
-    if (!up.Roundtrip(req, &reply, nullptr)) {
-      errs[w] = "worker " + up.addr() + " failed during EMST fan-out";
-      return;
-    }
-    if (!reply.binary || reply.opcode != net::kOpEdgesReply) {
-      errs[w] = reply.binary ? "unexpected frame reply" : reply.text;
-      return;
-    }
-    net::PayloadReader rd(reply.payload);
-    uint32_t count = rd.GetU32();
-    if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) * 16) {
-      errs[w] = "worker " + up.addr() + " sent a malformed edges reply";
-      return;
-    }
-    std::vector<WeightedEdge> edges(count);
-    for (WeightedEdge& e : edges) {
-      uint32_t lu = rd.GetU32();
-      uint32_t lv = rd.GetU32();
-      double wgt = rd.GetF64();
-      uint32_t du = 0, dv = 0;
-      if (!DenseOfLocal(m.worker_local[w], m.worker_dense[w], lu, &du) ||
-          !DenseOfLocal(m.worker_local[w], m.worker_dense[w], lv, &dv)) {
-        errs[w] = "worker " + up.addr() + " returned an unknown edge id";
-        return;
-      }
-      e = {du, dv, wgt};
-    }
-    std::lock_guard<std::mutex> lock(cand_mu);
-    candidates.insert(candidates.end(), edges.begin(), edges.end());
-  });
-  for (const std::string& e : errs) {
-    if (!e.empty()) {
-      *fail = e;
+  bool build = !m.emst.mst;
+  if (build) {
+    net::WireMessage req = NameFrame(net::kOpExportMst, ds.name);
+    std::vector<WeightedEdge> mst;
+    if (!MergeSliceMsts(
+            ds, ToLiveSlices(m.worker_dense, req), "EMST fan-out",
+            [&] { return m.merger->CrossEmstEdges(); }, &mst, fail)) {
       return false;
     }
+    m.emst.mst_weight = TotalEdgeWeight(mst);
+    m.emst.mst =
+        std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
   }
-  std::vector<WeightedEdge> cross = m.merger->CrossEmstEdges();
-  candidates.insert(candidates.end(), cross.begin(), cross.end());
-  std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-  PARHC_CHECK_MSG(mst.size() + 1 == n,
-                  "cluster EMST candidates did not span all points");
-  m.emst_weight = TotalEdgeWeight(mst);
-  m.emst_mst =
-      std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-  m.emst_dendro.reset();
-  m.emst_ok = true;
-  TraceArtifact(out, /*built=*/true, "forest-emst");
+  TraceArtifact(out, build, "forest-emst");
   return true;
 }
 
-bool Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
+void Router::AnswerSharded(Dataset& ds, const EngineRequest& req,
                            EngineResponse* out) {
   if (!ds.degraded.empty()) {
     out->error = ds.degraded;
-    return true;
+    return;
   }
-  if (ds.live_n == 0) {
-    out->error = "dataset is empty";
-    return true;
-  }
-  // Same validation order (and strings) as the single-node dynamic
-  // backend, so error responses match byte for byte.
-  bool emst_family = req.type == QueryType::kEmst ||
-                     req.type == QueryType::kSingleLinkage;
-  if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
-    out->error = "eps EMST is supported on static datasets only";
-    return true;
-  }
-  bool need_dendro = req.type == QueryType::kSingleLinkage;
-  if (need_dendro && (req.k < 1 || req.k > ds.live_n)) {
-    out->error = "k must be in [1, n]";
-    return true;
-  }
-  if (!emst_family) {
-    if (req.min_pts < 1 || static_cast<size_t>(req.min_pts) > ds.live_n) {
-      out->error = "min_pts must be in [1, n]";
-      return true;
-    }
-    if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
-      out->error = "min_cluster_size must be >= 2";
-      return true;
-    }
+  if (const char* err = ValidateQuery(req, ds.live_n, /*eps_emst=*/false)) {
+    out->error = err;
+    return;
   }
   std::string fail;
   if (!EnsureMirror(ds, out, &fail)) {
     out->error = fail;
-    return true;
+    return;
   }
   Merged& m = *ds.merged;
-  if (emst_family) {
+  if (IsEmstFamily(req.type)) {
     if (!EnsureEmst(ds, out, &fail)) {
       out->error = fail;
-      return true;
+      return;
     }
-    if (need_dendro) {
-      if (!m.emst_dendro) {
-        m.emst_dendro = BuildDendrogramArtifact(ds.live_n, *m.emst_mst);
-        TraceArtifact(out, /*built=*/true, "sl-dendro");
-      } else {
-        TraceArtifact(out, /*built=*/false, "sl-dendro");
-      }
+    if (req.type == QueryType::kSingleLinkage) {
+      EnsureDendrogram(&m.emst.dendrogram, ds.live_n, *m.emst.mst,
+                       "sl-dendro", /*allow_build=*/true, out);
     }
-    out->mst = m.emst_mst;
-    out->mst_weight = m.emst_weight;
-    out->point_ids = m.dense_gids;
-    if (need_dendro) {
-      out->dendrogram = m.emst_dendro;
-      out->labels = KClusters(*m.emst_dendro, req.k);
-      SummarizeLabels(out->labels, out);
-    }
-    out->ok = true;
-    return true;
+    FillEmstResponse(req, m.emst, m.dense_gids, out);
+    return;
   }
-  bool need_plot = req.type == QueryType::kReachability;
-  ClusteringEntry* e = Hdbscan(ds, req.min_pts, need_plot, out, &fail);
+  ClusteringEntry* e = Hdbscan(ds, req.min_pts,
+                               req.type == QueryType::kReachability, out,
+                               &fail);
   if (e == nullptr) {
     out->error = fail;
-    return true;
+    return;
   }
-  out->core_dist = e->core_dist;
-  out->point_ids = m.dense_gids;
-  switch (req.type) {
-    case QueryType::kHdbscan:
-      out->mst = e->mst;
-      out->mst_weight = e->mst_weight;
-      out->dendrogram = e->dendrogram;
-      break;
-    case QueryType::kDbscanStarAt:
-      out->labels = DbscanStarLabels(*e->dendrogram, *e->core_dist, req.eps);
-      SummarizeLabels(out->labels, out);
-      break;
-    case QueryType::kReachability:
-      out->plot = e->plot;
-      break;
-    case QueryType::kStableClusters: {
-      StabilityClusters sc =
-          ExtractStableClusters(*e->dendrogram, req.min_cluster_size);
-      out->labels = std::move(sc.label);
-      out->stability = std::move(sc.stability);
-      SummarizeLabels(out->labels, out);
-      break;
-    }
-    default:
-      break;
+  FillClusteringResponse(req, *e, m.dense_gids, out);
+}
+
+EngineResponse Router::RunSharded(Dataset& ds, const EngineRequest& req) {
+  merges_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t t0 = obs::NowNs();
+  EngineResponse r;
+  {
+    std::lock_guard<std::mutex> lock(ds.mu);
+    // The whole merged pipeline (kd-tree builds, cross traversals,
+    // Kruskal, dendrograms) issues parallel scheduler work, so it runs
+    // inside a worker group like any engine build.
+    executor_.RunBuild([&] {
+      AnswerSharded(ds, req, &r);
+      return 0;
+    });
   }
-  out->ok = true;
-  return true;
+  r.seconds = static_cast<double>(obs::NowNs() - t0) * 1e-9;
+  return r;
 }
 
 // ---- recovery -----------------------------------------------------------
@@ -928,24 +763,17 @@ void Router::ReseedSharded(size_t worker, Dataset& ds) {
   }
   // Read-only probe: never recreate a sharded dataset with `dyn` while it
   // may still hold points — the registry would atomically replace it.
-  std::string payload;
-  net::PutU16(&payload, static_cast<uint16_t>(name.size()));
-  payload += name;
-  net::WireMessage req;
-  req.binary = true;
-  req.opcode = net::kOpExportPoints;
-  req.payload = std::move(payload);
   net::WireMessage reply;
-  if (!up.Roundtrip(req, &reply, nullptr)) return;  // next pass retries
+  if (!up.Roundtrip(NameFrame(net::kOpExportPoints, name), &reply,
+                    nullptr)) {
+    return;  // next pass retries
+  }
   if (reply.binary && reply.opcode == net::kOpPointsReply) {
-    net::PayloadReader rd(reply.payload);
-    rd.GetU16();  // dim
-    uint32_t count = rd.GetU32();
-    bool intact = rd.ok() && count == expected.size();
-    for (uint32_t l = 0; intact && l < count; ++l) {
-      intact = rd.GetU32() == expected[l];
+    net::PointsReply pts;
+    if (net::DecodePointsReply(reply.payload, &pts) &&
+        pts.gids == expected) {
+      return;  // transient outage; the slice survived
     }
-    if (intact) return;  // transient outage; the slice survived
     ds.degraded = "worker " + up.addr() + " slice diverged from the " +
                   "placement map; restore from a snapshot";
     return;
@@ -1062,27 +890,9 @@ void Router::RegisterMetrics(obs::Observability& obs) {
 net::ProtocolResult Router::Handle(const net::WireMessage& msg,
                                    const net::ProtocolOptions& opts) {
   if (msg.binary) return HandleFrame(msg.opcode, msg.payload, opts);
-  // Same trace bookkeeping as ProtocolSession::HandleLine: standalone
-  // front-ends (tests driving the router in-process) mint ids here; the
-  // TCP server installs a context before dispatch, making this a no-op.
-  obs::Tracer& tracer = obs::Tracer::Get();
-  if (obs::CurrentTraceId() != 0) return DispatchLine(msg.text, opts);
-  std::string stripped = msg.text;
-  uint64_t propagated = net::ExtractTraceSuffix(&stripped);
-  if (propagated == 0 && !tracer.enabled()) return DispatchLine(stripped, opts);
-  obs::TraceContext ctx(propagated ? propagated : tracer.MintTraceId());
-  size_t b = stripped.find_first_not_of(" \t");
-  size_t e = stripped.find_first_of(" \t", b);
-  std::string_view verb =
-      b == std::string::npos
-          ? std::string_view()
-          : std::string_view(stripped.data() + b,
-                             (e == std::string::npos ? stripped.size() : e) -
-                                 b);
-  obs::Span span(
-      obs::VerbCounters::kRequestSpanNames[obs::VerbCounters::IndexOf(verb)],
-      "net");
-  return DispatchLine(stripped, opts);
+  return net::DispatchTraced(msg.text, [&](const std::string& line) {
+    return DispatchLine(line, opts);
+  });
 }
 
 net::ProtocolResult Router::DispatchLine(const std::string& line,
@@ -1243,25 +1053,9 @@ net::ProtocolResult Router::DispatchLine(const std::string& line,
         }
         return res;
       }
-      int dim = ds->dim;
-      std::vector<double> vals;
-      double v;
-      while (ss >> v) vals.push_back(v);
-      if (!ss.eof()) {
-        res.out = StrPrintf("err insert %s: malformed coordinate\n",
-                            name.c_str());
-        return res;
-      }
-      if (vals.empty() || vals.size() % static_cast<size_t>(dim) != 0) {
-        res.out = StrPrintf(
-            "err insert %s: need a multiple of %d coordinates\n", name.c_str(),
-            dim);
-        return res;
-      }
-      std::vector<std::vector<double>> rows(vals.size() / dim);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].assign(vals.begin() + i * dim, vals.begin() + (i + 1) * dim);
-      }
+      std::vector<std::vector<double>> rows;
+      res.out = net::ParseInsertCoords(name, ds->dim, ss, &rows);
+      if (!res.out.empty()) return res;
       std::lock_guard<std::mutex> lock(ds->mu);
       res.out = ShardedInsert(*ds, name, rows, "insert");
     } else if (cmd == "geninsert") {
@@ -1319,16 +1113,8 @@ net::ProtocolResult Router::DispatchLine(const std::string& line,
       std::string name;
       ss >> name;
       std::vector<uint32_t> gids;
-      uint32_t gid;
-      while (ss >> gid) gids.push_back(gid);
-      if (!ss.eof()) {
-        res.out = StrPrintf("err delete %s: malformed gid\n", name.c_str());
-        return res;
-      }
-      if (name.empty() || gids.empty()) {
-        res.out = "err delete: usage: delete <name> <gid> [gid ...]\n";
-        return res;
-      }
+      res.out = net::ParseDeleteGids(name, ss, &gids);
+      if (!res.out.empty()) return res;
       auto ds = FindDataset(name);
       if (!ds) {
         res.out = ForwardRead(line, cmd);
@@ -1351,148 +1137,21 @@ net::ProtocolResult Router::DispatchLine(const std::string& line,
         datasets_.erase(name);
       }
       res.out = reply;
-    } else if (cmd == "emst" || cmd == "slink" || cmd == "hdbscan" ||
-               cmd == "dbscan" || cmd == "reach" || cmd == "clusters") {
+    } else if (net::IsQueryVerb(cmd)) {
       EngineRequest req;
-      ss >> req.dataset;
-      if (cmd == "emst") {
-        req.type = QueryType::kEmst;
-        std::string sub;
-        if (ss >> sub) {
-          if (sub != "eps" || !(ss >> req.emst_eps) || req.emst_eps < 0) {
-            res.out = "err emst: usage: emst <name> [eps <e>]\n";
-            return res;
-          }
-        } else {
-          ss.clear();
-        }
-      } else if (cmd == "slink") {
-        req.type = QueryType::kSingleLinkage;
-        ss >> req.k;
-      } else if (cmd == "hdbscan") {
-        req.type = QueryType::kHdbscan;
-        ss >> req.min_pts;
-      } else if (cmd == "dbscan") {
-        req.type = QueryType::kDbscanStarAt;
-        ss >> req.min_pts >> req.eps;
-      } else if (cmd == "reach") {
-        req.type = QueryType::kReachability;
-        ss >> req.min_pts;
-      } else {
-        req.type = QueryType::kStableClusters;
-        ss >> req.min_pts >> req.min_cluster_size;
-      }
-      if (ss.fail() || req.dataset.empty()) {
-        res.out = StrPrintf(
-            "err %s: missing or malformed arguments (try help)\n",
-            cmd.c_str());
-        return res;
-      }
+      res.out = net::ParseQuery(cmd, ss, &req);
+      if (!res.out.empty()) return res;
       auto ds = FindDataset(req.dataset);
       if (ds && ds->mode == Dataset::Mode::kSharded) {
-        merges_.fetch_add(1, std::memory_order_relaxed);
-        uint64_t t0 = obs::NowNs();
-        EngineResponse r;
-        {
-          std::lock_guard<std::mutex> lock(ds->mu);
-          // The whole merged pipeline (kd-tree builds, cross traversals,
-          // Kruskal, dendrograms) issues parallel scheduler work, so it
-          // runs inside a worker group like any engine build.
-          executor_.RunBuild([&] {
-            AnswerSharded(*ds, req, &r);
-            return 0;
-          });
-        }
-        r.seconds = static_cast<double>(obs::NowNs() - t0) * 1e-9;
-        res.out = net::FormatQueryResponse(cmd, req.dataset, r,
+        res.out = net::FormatQueryResponse(cmd, req.dataset,
+                                           RunSharded(*ds, req),
                                            opts.show_timing);
       } else {
         // Replicated (round-robin across replicas) or unknown (the worker
         // answers with the exact single-node unknown-dataset error).
         res.out = ForwardRead(line, cmd);
       }
-    } else if (cmd == "metrics") {
-      std::string mode;
-      ss >> mode;
-      if (opts.obs == nullptr) {
-        res.out = "err metrics: no metrics registry in this front-end\n";
-      } else if (mode == "json") {
-        res.out = opts.obs->metrics.Json();
-        res.out += '\n';
-      } else if (!mode.empty()) {
-        res.out = "err metrics: usage: metrics [json]\n";
-      } else {
-        res.out = opts.obs->metrics.PrometheusText();
-        res.out += "ok metrics\n";
-      }
-    } else if (cmd == "trace") {
-      std::string sub;
-      ss >> sub;
-      obs::Tracer& tracer = obs::Tracer::Get();
-      if (sub == "on") {
-        tracer.Enable();
-        res.out = "ok trace on\n";
-      } else if (sub == "off") {
-        tracer.Disable();
-        res.out = "ok trace off\n";
-      } else if (sub == "status") {
-        res.out = StrPrintf(
-            "ok trace status enabled=%d spans=%llu dropped=%llu\n",
-            tracer.enabled() ? 1 : 0,
-            static_cast<unsigned long long>(tracer.spans_recorded()),
-            static_cast<unsigned long long>(tracer.spans_dropped()));
-      } else if (sub == "clear") {
-        tracer.Clear();
-        res.out = "ok trace clear\n";
-      } else if (sub == "dump") {
-        std::string path;
-        ss >> path;
-        if (path.empty()) {
-          res.out = "err trace: usage: trace dump <file>\n";
-        } else {
-          size_t spans = 0;
-          if (tracer.DumpJsonToFile(path, &spans)) {
-            res.out = StrPrintf("ok trace dump %s spans=%zu\n", path.c_str(),
-                                spans);
-          } else {
-            res.out = StrPrintf("err trace dump %s: cannot write\n",
-                                path.c_str());
-          }
-        }
-      } else {
-        res.out = "err trace: usage: trace on|off|status|clear|dump <file>\n";
-      }
-    } else if (cmd == "slowlog") {
-      std::string sub;
-      ss >> sub;
-      if (opts.obs == nullptr) {
-        res.out = "err slowlog: no slow-query log in this front-end\n";
-      } else if (sub == "clear") {
-        opts.obs->slowlog.Clear();
-        res.out = "ok slowlog clear\n";
-      } else if (sub == "threshold") {
-        uint64_t us = 0;
-        if (!(ss >> us)) {
-          res.out = "err slowlog: usage: slowlog threshold <us>\n";
-        } else {
-          opts.obs->slowlog.set_threshold_us(us);
-          res.out = StrPrintf("ok slowlog threshold_us=%llu\n",
-                              static_cast<unsigned long long>(us));
-        }
-      } else if (!sub.empty()) {
-        res.out = "err slowlog: usage: slowlog [clear|threshold <us>]\n";
-      } else {
-        std::vector<obs::SlowLogRecord> entries = opts.obs->slowlog.Entries();
-        for (const obs::SlowLogRecord& e : entries) {
-          res.out += e.Format();
-          res.out += '\n';
-        }
-        res.out += StrPrintf(
-            "ok slowlog n=%zu threshold_us=%llu\n", entries.size(),
-            static_cast<unsigned long long>(
-                opts.obs->slowlog.threshold_us()));
-      }
-    } else {
+    } else if (!net::HandleObservabilityVerb(cmd, ss, opts, &res.out)) {
       res.out = StrPrintf("err unknown command: %s (try help)\n", cmd.c_str());
     }
   } catch (const std::exception& e) {
@@ -1512,82 +1171,34 @@ net::ProtocolResult Router::HandleFrame(uint8_t opcode,
     fwd.opcode = opcode;
     fwd.payload = payload;
     if (opcode == net::kOpInsertPoints) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      int dim = static_cast<int>(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || name.empty() || dim <= 0 || count == 0 ||
-          rd.remaining() !=
-              static_cast<size_t>(count) * dim * sizeof(double)) {
-        res.out = "err insert: malformed frame payload\n";
-        return res;
-      }
-      auto ds = FindDataset(name);
+      net::InsertPointsRequest ins;
+      res.out = net::DecodeInsertPoints(payload, &ins);
+      if (!res.out.empty()) return res;
+      auto ds = FindDataset(ins.name);
       if (!ds) {
         res.out = ForwardFrame(fwd, "insert");
-        return res;
-      }
-      if (ds->mode == Dataset::Mode::kReplicated) {
+      } else if (ds->mode == Dataset::Mode::kReplicated) {
         res.out = ds->mutable_on_workers
                       ? StrPrintf("err insert %s: replicated dataset is "
                                   "read-only via the router\n",
-                                  name.c_str())
+                                  ins.name.c_str())
                       : ForwardFrame(fwd, "insert");
-        return res;
-      }
-      if (ds->dim != dim) {
+      } else if (ds->dim != ins.dim) {
         res.out = StrPrintf("err insert %s: frame dim %d != dataset dim %d\n",
-                            name.c_str(), dim, ds->dim);
-        return res;
-      }
-      std::vector<std::vector<double>> rows(count, std::vector<double>(dim));
-      for (auto& row : rows) {
-        for (double& v : row) v = rd.GetF64();
-      }
-      std::lock_guard<std::mutex> lock(ds->mu);
-      res.out = ShardedInsert(*ds, name, rows, "insert");
-    } else if (opcode == net::kOpGetLabels) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint8_t kind = rd.GetU8();
-      EngineRequest req;
-      req.dataset = name;
-      req.min_pts = static_cast<int>(rd.GetU32());
-      if (kind == 0) {
-        req.type = QueryType::kDbscanStarAt;
-        req.eps = rd.GetF64();
+                            ins.name.c_str(), ins.dim, ds->dim);
       } else {
-        req.type = QueryType::kStableClusters;
-        req.min_cluster_size = static_cast<size_t>(rd.GetU64());
-      }
-      if (!rd.ok() || name.empty() || kind > 1 || rd.remaining() != 0) {
-        res.out = "err labels: malformed frame payload\n";
-        return res;
-      }
-      auto ds = FindDataset(name);
-      if (!ds || ds->mode == Dataset::Mode::kReplicated) {
-        res.out = ForwardFrame(fwd, "labels");
-        return res;
-      }
-      merges_.fetch_add(1, std::memory_order_relaxed);
-      EngineResponse r;
-      {
         std::lock_guard<std::mutex> lock(ds->mu);
-        executor_.RunBuild([&] {
-          AnswerSharded(*ds, req, &r);
-          return 0;
-        });
+        res.out = ShardedInsert(*ds, ins.name, ins.rows, "insert");
       }
-      if (!r.ok) {
-        res.out = StrPrintf("err labels %s: %s\n", name.c_str(),
-                            r.error.c_str());
-        return res;
-      }
-      std::string reply;
-      reply.reserve(4 + r.labels.size() * 4);
-      net::PutU32(&reply, static_cast<uint32_t>(r.labels.size()));
-      for (int32_t l : r.labels) {
-        net::PutU32(&reply, static_cast<uint32_t>(l));
-      }
-      res.out = net::EncodeFrame(net::kOpLabelsReply, reply);
+    } else if (opcode == net::kOpGetLabels) {
+      EngineRequest req;
+      res.out = net::DecodeGetLabels(payload, &req);
+      if (!res.out.empty()) return res;
+      auto ds = FindDataset(req.dataset);
+      res.out = !ds || ds->mode == Dataset::Mode::kReplicated
+                    ? ForwardFrame(fwd, "labels")
+                    : net::FormatLabelsResponse(req.dataset,
+                                                RunSharded(*ds, req));
     } else if (opcode == net::kOpKnnQuery) {
       std::string name = rd.GetBytes(rd.GetU16());
       uint32_t k = rd.GetU32();
@@ -1632,60 +1243,27 @@ net::ProtocolResult Router::HandleFrame(uint8_t opcode,
       }
       fanouts_.fetch_add(1, std::memory_order_relaxed);
       merges_.fetch_add(1, std::memory_order_relaxed);
+      std::vector<const net::WireMessage*> targets(pool_.size(), nullptr);
+      for (size_t w = 0; w < pool_.size(); ++w) {
+        if (live_per[w] != 0) targets[w] = &fwd;
+      }
       std::vector<std::vector<double>> worker_rows;
-      std::mutex rows_mu;
-      std::vector<std::string> errs(pool_.size());
-      pool_.ForEach([&](size_t w, Upstream& up) {
-        if (live_per[w] == 0) return;
-        net::WireMessage reply;
-        if (!up.Roundtrip(fwd, &reply, nullptr)) {
-          errs[w] =
-              StrPrintf("err knn %s: worker %s failed during kNN fan-out\n",
-                        name.c_str(), up.addr().c_str());
-          return;
-        }
-        if (!reply.binary || reply.opcode != net::kOpKnnReply) {
-          // Worker-side text errors (k out of range, dim mismatch) pass
-          // through verbatim so the router matches single-node bytes.
-          errs[w] = reply.binary ? StrPrintf("err knn %s: unexpected frame "
-                                             "reply\n",
-                                             name.c_str())
-                                 : reply.text;
-          return;
-        }
-        net::PayloadReader rr(reply.payload);
-        uint32_t rcount = rr.GetU32();
-        uint32_t rk = rr.GetU32();
-        if (!rr.ok() || rcount != count || rk != k ||
-            rr.remaining() !=
-                static_cast<size_t>(count) * k * sizeof(double)) {
-          errs[w] =
-              StrPrintf("err knn %s: worker %s sent a malformed kNN reply\n",
-                        name.c_str(), up.addr().c_str());
-          return;
-        }
-        std::vector<double> rows(static_cast<size_t>(count) * k);
-        for (double& v : rows) v = rr.GetF64();
-        std::lock_guard<std::mutex> rl(rows_mu);
-        worker_rows.push_back(std::move(rows));
-      });
-      for (const std::string& e : errs) {
-        if (!e.empty()) {
-          res.out = e;
-          return res;
-        }
+      bool worker_text = false;
+      std::string err = FanKnn(targets, count, k, &worker_rows, &worker_text);
+      if (!err.empty()) {
+        // Worker-side text errors (k out of range, dim mismatch) pass
+        // through verbatim so the router matches single-node bytes.
+        res.out = worker_text ? err + '\n'
+                              : StrPrintf("err knn %s: %s\n", name.c_str(),
+                                          err.c_str());
+        return res;
       }
       std::vector<double> merged_rows;
       executor_.RunBuild([&] {
         merged_rows = MergeKnnRows(count, k, worker_rows);
         return 0;
       });
-      std::string reply;
-      reply.reserve(8 + merged_rows.size() * sizeof(double));
-      net::PutU32(&reply, count);
-      net::PutU32(&reply, k);
-      for (double v : merged_rows) net::PutF64(&reply, v);
-      res.out = net::EncodeFrame(net::kOpKnnReply, reply);
+      res.out = net::EncodeKnnReply(count, k, merged_rows);
     } else if (opcode == net::kOpExportPoints || opcode == net::kOpExportMst ||
                opcode == net::kOpShardMrMst) {
       std::string name = rd.GetBytes(rd.GetU16());

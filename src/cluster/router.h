@@ -1,9 +1,23 @@
 // Multi-node sharded serving: the router tier.
 //
 // A Router fronts N parhc_netserver workers and speaks the same wire
-// protocol (net/protocol.h + net/frame.h) on both sides, so any client of
-// a single-node server can point at a router unchanged. Datasets live in
-// one of two modes:
+// protocol on both sides, so any client of a single-node server can point
+// at a router unchanged. It owns only routing, placement and merging; the
+// rest of the query path is shared with the single-node engine:
+//
+//  * Wire grammar: query verbs, insert coordinates, delete gids and the
+//    kOpInsertPoints / kOpGetLabels payloads parse through net/protocol.h
+//    (ParseQuery, ParseInsertCoords, ParseDeleteGids, DecodeInsertPoints,
+//    DecodeGetLabels) — the same functions ProtocolSession calls.
+//  * Reply codecs: every worker reply (points, edges, kNN rows) decodes,
+//    and every client reply (labels, kNN rows) encodes, through the
+//    net/frame.h codec pairs; worker fan-outs go through one FanOut.
+//  * Answer shaper: merged answers are validated and filled by
+//    engine/answer.h, and core distances, dendrograms, reachability plots
+//    and the per-minPts LRU come from engine/artifact_util.h — the code
+//    the dynamic backend runs.
+//
+// Datasets live in one of two modes:
 //
 //  * Replicated (created by `gen` / `load`): the creation line is
 //    broadcast to every worker — generators and loaders are deterministic,
@@ -42,6 +56,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -118,13 +133,8 @@ class Router {
     bool knn_ok = false;
     size_t knn_k = 0;
     std::vector<double> knn_sq;  ///< n x knn_k sorted squared distances
-    std::map<int, std::shared_ptr<const std::vector<double>>> core;
-    std::map<int, std::unique_ptr<ClusteringEntry>> hdbscan;
-    std::atomic<uint64_t> clock{0};
-    bool emst_ok = false;
-    std::shared_ptr<const std::vector<WeightedEdge>> emst_mst;
-    double emst_weight = 0;
-    std::shared_ptr<const Dendrogram> emst_dendro;
+    ClusteringCache clusterings;
+    EmstEntry emst;
   };
 
   struct Dataset {
@@ -171,15 +181,42 @@ class Router {
   std::string ShardedSave(Dataset& ds, const std::string& name,
                           const std::string& dir);
   std::string ShardedLoad(const std::string& name, const std::string& dir);
-  bool AnswerSharded(Dataset& ds, const EngineRequest& req,
+  /// Answers `req` over sharded dataset `ds` under its lock, on the build
+  /// executor.
+  EngineResponse RunSharded(Dataset& ds, const EngineRequest& req);
+  void AnswerSharded(Dataset& ds, const EngineRequest& req,
                      EngineResponse* out);
+  /// The one router->worker fan-out of the merged pipeline: sends
+  /// *reqs[w] to every worker w with a non-null entry (bounded
+  /// concurrency), expects a `reply_opcode` frame back and hands its
+  /// payload to accept(w, payload), which runs concurrently across
+  /// workers and returns "" or a complaint. Returns "" when every worker
+  /// answered, else the first failing worker's error in worker order:
+  /// "worker <addr> failed during <phase>", the worker's own text reply
+  /// (*worker_text set), "unexpected frame reply", or "worker <addr>
+  /// <complaint>".
+  std::string FanOut(
+      const std::vector<const net::WireMessage*>& reqs, uint8_t reply_opcode,
+      const char* phase,
+      const std::function<std::string(size_t, const std::string&)>& accept,
+      bool* worker_text = nullptr);
+  /// FanOut of kOpKnnQuery frames for `count` points at width k; appends
+  /// each target's rows to *rows (inputs of MergeKnnRows).
+  std::string FanKnn(const std::vector<const net::WireMessage*>& reqs,
+                     uint32_t count, uint32_t k,
+                     std::vector<std::vector<double>>* rows,
+                     bool* worker_text = nullptr);
+  /// Distance-decomposition merge: FanOut of per-slice MST requests,
+  /// kOpEdgesReply endpoints remapped to dense indices, plus the `cross`
+  /// candidates, through one Kruskal.
+  bool MergeSliceMsts(Dataset& ds,
+                      const std::vector<const net::WireMessage*>& reqs,
+                      const char* phase,
+                      const std::function<std::vector<WeightedEdge>()>& cross,
+                      std::vector<WeightedEdge>* mst, std::string* fail);
   bool EnsureMirror(Dataset& ds, EngineResponse* out, std::string* fail);
   bool EnsureKnn(Dataset& ds, size_t k, EngineResponse* out,
                  std::string* fail);
-  std::shared_ptr<const std::vector<double>> CoreDist(Dataset& ds,
-                                                      int min_pts,
-                                                      EngineResponse* out,
-                                                      std::string* fail);
   ClusteringEntry* Hdbscan(Dataset& ds, int min_pts, bool need_plot,
                            EngineResponse* out, std::string* fail);
   bool EnsureEmst(Dataset& ds, EngineResponse* out, std::string* fail);

@@ -58,14 +58,11 @@
 #include <utility>
 #include <vector>
 
-#include "dendrogram/cluster_extraction.h"
-#include "dendrogram/reachability.h"
 #include "dynamic/forest.h"
+#include "engine/answer.h"
 #include "engine/artifact_util.h"
 #include "engine/request.h"
-#include "graph/kruskal.h"
 #include "hdbscan/hdbscan_mst.h"
-#include "hdbscan/stability.h"
 #include "spatial/cross_traverse.h"
 #include "spatial/knn.h"
 #include "spatial/wspd.h"
@@ -81,7 +78,9 @@ class DynamicArtifacts {
   size_t num_shards() const { return forest_.num_shards(); }
   size_t num_tombstones() const { return forest_.dead_count(); }
   size_t knn_k() const { return knn_valid_ ? knn_k_ : 0; }
-  size_t num_cached_clusterings() const { return hdbscan_.size(); }
+  size_t num_cached_clusterings() const {
+    return clusterings_.entries.size();
+  }
   uint32_t next_gid() const { return forest_.next_gid(); }
   /// Entries in the dense gid map — O(live points) by construction;
   /// regression-tested against churn alongside the forest locator.
@@ -157,41 +156,12 @@ class DynamicArtifacts {
   /// The forest's MR-MST under externally supplied *global* core
   /// distances (`core[i]` = core distance of the i-th live gid ascending),
   /// with gid endpoints — the per-worker part of the router's distributed
-  /// HDBSCAN* merge (net kOpShardMrMst). Built exactly like the local
-  /// HDBSCAN* path: per-shard MR-MSTs (annotating each shard tree) plus
-  /// cross BCCP* candidates, Kruskal'd down to live_count - 1 edges.
-  /// Issues parallel work; engine runs it on the build executor under the
-  /// exclusive lock.
+  /// HDBSCAN* merge (net kOpShardMrMst). Built by the same ForestMrMst as
+  /// the local HDBSCAN* path, then mapped back to gids. Issues parallel
+  /// work; engine runs it on the build executor under the exclusive lock.
   std::vector<WeightedEdge> MutualReachMst(const std::vector<double>& core) {
-    size_t n = forest_.live_count();
-    if (n < 2) return {};
-    EnsureDense();
-    std::vector<WeightedEdge> candidates;
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      Shard<D>& s = forest_.shard(i);
-      const std::vector<uint32_t>& lg = s.live_gids();
-      std::vector<double> cd_local(lg.size());
-      for (size_t l = 0; l < lg.size(); ++l) {
-        cd_local[l] = core[DenseOf(lg[l])];
-      }
-      std::vector<WeightedEdge> edges = HdbscanMstOnTree(s.tree(), cd_local);
-      for (WeightedEdge& e : edges) {
-        e.u = lg[e.u];
-        e.v = lg[e.v];
-      }
-      candidates.insert(candidates.end(), edges.begin(), edges.end());
-    }
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
-        std::vector<WeightedEdge> edges =
-            CrossHdbscanCandidates(forest_.shard(i), forest_.shard(j));
-        candidates.insert(candidates.end(), edges.begin(), edges.end());
-      }
-    }
-    ToDense(candidates);
-    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-    PARHC_CHECK_MSG(mst.size() + 1 == n,
-                    "shard MR-MST candidates did not span all points");
+    if (forest_.live_count() < 2) return {};
+    std::vector<WeightedEdge> mst = ForestMrMst(core);
     for (WeightedEdge& e : mst) {
       e.u = (*ids_dense_)[e.u];
       e.v = (*ids_dense_)[e.v];
@@ -202,22 +172,16 @@ class DynamicArtifacts {
   /// Same contract as DatasetArtifacts::Answer.
   bool Answer(const EngineRequest& req, bool allow_build,
               EngineResponse* out) {
-    if (forest_.live_count() == 0) {
-      out->error = "dataset is empty";
+    // The eps path builds private k-means partition trees over an
+    // immutable point set; the shard forest already maintains its own
+    // incremental decomposition, so the knob applies to static datasets.
+    if (const char* err =
+            ValidateQuery(req, forest_.live_count(), /*eps_emst=*/false)) {
+      out->error = err;
       return true;
     }
-    switch (req.type) {
-      case QueryType::kEmst:
-      case QueryType::kSingleLinkage:
-        return AnswerEmstFamily(req, allow_build, out);
-      case QueryType::kHdbscan:
-      case QueryType::kDbscanStarAt:
-      case QueryType::kReachability:
-      case QueryType::kStableClusters:
-        return AnswerHdbscanFamily(req, allow_build, out);
-    }
-    out->error = "unknown query type";
-    return true;
+    return IsEmstFamily(req.type) ? AnswerEmstFamily(req, allow_build, out)
+                                  : AnswerHdbscanFamily(req, allow_build, out);
   }
 
   /// Writes the forest (per-shard files: full point batches + tombstone
@@ -330,10 +294,6 @@ class DynamicArtifacts {
  private:
   static constexpr uint64_t kNoEpoch = std::numeric_limits<uint64_t>::max();
 
-  using HdbscanEntry = ClusteringEntry;
-
-  void Touch(HdbscanEntry& e) { TouchClusteringEntry(e, clock_); }
-
   // --- shard snapshot IO (store) -----------------------------------------
 
   static void SaveShardSnapshot(const std::string& path, const Shard<D>& s) {
@@ -410,10 +370,8 @@ class DynamicArtifacts {
 
   void InvalidateGlobalTier() {
     emst_epoch_ = kNoEpoch;
-    emst_mst_.reset();
-    emst_dendro_.reset();
-    hdbscan_.clear();
-    core_.clear();
+    emst_ = EmstEntry();
+    clusterings_.Clear();
     ids_dense_.reset();
     dense_of_gid_.clear();
   }
@@ -528,7 +486,7 @@ class DynamicArtifacts {
   // --- EMST family -------------------------------------------------------
 
   bool EnsureEmst(bool allow_build, EngineResponse* out) {
-    if (emst_mst_ && emst_epoch_ == forest_.epoch()) {
+    if (emst_.mst && emst_epoch_ == forest_.epoch()) {
       TraceArtifact(out, /*built=*/false, "forest-emst");
       return true;
     }
@@ -566,14 +524,12 @@ class DynamicArtifacts {
       }
     }
     ToDense(candidates);
-    size_t n = forest_.live_count();
-    std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-    PARHC_CHECK_MSG(mst.size() + 1 == n,
-                    "shard-forest EMST candidates did not span all points");
-    emst_weight_ = TotalEdgeWeight(mst);
-    emst_mst_ =
+    std::vector<WeightedEdge> mst =
+        KruskalMerge(forest_.live_count(), std::move(candidates));
+    emst_ = EmstEntry();
+    emst_.mst_weight = TotalEdgeWeight(mst);
+    emst_.mst =
         std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-    emst_dendro_.reset();
     emst_epoch_ = forest_.epoch();
     TraceArtifact(out, /*built=*/true, "forest-emst");
     return true;
@@ -581,38 +537,13 @@ class DynamicArtifacts {
 
   bool AnswerEmstFamily(const EngineRequest& req, bool allow_build,
                         EngineResponse* out) {
-    if (req.type == QueryType::kEmst && req.emst_eps >= 0) {
-      // The eps path builds private k-means partition trees over an
-      // immutable point set; the shard forest already maintains its own
-      // incremental decomposition, so the knob applies to static datasets.
-      out->error = "eps EMST is supported on static datasets only";
-      return true;
-    }
-    bool need_dendro = req.type == QueryType::kSingleLinkage;
-    if (need_dendro && (req.k < 1 || req.k > forest_.live_count())) {
-      out->error = "k must be in [1, n]";
-      return true;
-    }
     if (!EnsureEmst(allow_build, out)) return false;
-    if (need_dendro) {
-      if (!emst_dendro_) {
-        if (!allow_build) return false;
-        emst_dendro_ = BuildDendrogramArtifact(forest_.live_count(),
-                                               *emst_mst_);
-        TraceArtifact(out, /*built=*/true, "sl-dendro");
-      } else {
-        TraceArtifact(out, /*built=*/false, "sl-dendro");
-      }
+    if (req.type == QueryType::kSingleLinkage &&
+        !EnsureDendrogram(&emst_.dendrogram, forest_.live_count(),
+                          *emst_.mst, "sl-dendro", allow_build, out)) {
+      return false;
     }
-    out->mst = emst_mst_;
-    out->mst_weight = emst_weight_;
-    out->point_ids = ids_dense_;
-    if (need_dendro) {
-      out->dendrogram = emst_dendro_;
-      out->labels = KClusters(*emst_dendro_, req.k);
-      SummarizeLabels(out->labels, out);
-    }
-    out->ok = true;
+    FillEmstResponse(req, emst_, ids_dense_, out);
     return true;
   }
 
@@ -715,155 +646,56 @@ class DynamicArtifacts {
     });
   }
 
-  /// Dense core distances for min_pts, derived from the kNN row columns.
-  std::shared_ptr<const std::vector<double>> CoreDist(int min_pts,
-                                                      bool allow_build,
-                                                      EngineResponse* out) {
-    const std::string key = "cd@" + std::to_string(min_pts);
-    auto it = core_.find(min_pts);
-    if (it != core_.end()) {
-      TraceArtifact(out, /*built=*/false, key);
-      return it->second;
-    }
-    if (!allow_build) return nullptr;
-    if (!EnsureKnn(static_cast<size_t>(min_pts), allow_build, out)) {
-      return nullptr;
-    }
+  /// The forest's exact MR-MST under dense core distances `core`, with
+  /// dense endpoints: per-shard MR-MSTs (annotating every shard tree with
+  /// the global core distances, which the cross BCCP* pass then reads)
+  /// plus cross BCCP* candidates, merged by Kruskal. Needs live points.
+  std::vector<WeightedEdge> ForestMrMst(const std::vector<double>& core) {
     EnsureDense();
-    size_t n = forest_.live_count();
-    size_t stride = knn_k_;
-    auto cd = std::make_shared<std::vector<double>>(n);
-    ParallelFor(0, n, [&](size_t i) {
-      (*cd)[i] = std::sqrt(knn_sq_[i * stride + (min_pts - 1)]);
-    });
-    core_.emplace(min_pts, cd);
-    TraceArtifact(out, /*built=*/true, key);
-    return cd;
-  }
-
-  /// The per-minPts clustering entry: the exact MR-MST over the shard
-  /// forest (per-shard MR-MSTs with global core distances + cross BCCP*
-  /// candidates), plus dendrogram / reachability plot on demand.
-  HdbscanEntry* Hdbscan(int min_pts, bool need_dendro, bool need_plot,
-                        bool allow_build, EngineResponse* out) {
-    const std::string suffix = "@" + std::to_string(min_pts);
-    auto it = hdbscan_.find(min_pts);
-    if (it == hdbscan_.end()) {
-      if (!allow_build) return nullptr;
-      auto cd = CoreDist(min_pts, allow_build, out);
-      if (!cd) return nullptr;
-      size_t n = forest_.live_count();
-      std::vector<WeightedEdge> candidates;
-      // Per-shard MR-MSTs, annotating every shard tree with the global
-      // core distances (the annotations then serve the cross BCCP* pass).
-      for (size_t i = 0; i < forest_.num_shards(); ++i) {
-        Shard<D>& s = forest_.shard(i);
-        const std::vector<uint32_t>& lg = s.live_gids();
-        std::vector<double> cd_local(lg.size());
-        for (size_t l = 0; l < lg.size(); ++l) {
-          cd_local[l] = (*cd)[DenseOf(lg[l])];
-        }
+    std::vector<WeightedEdge> candidates;
+    for (size_t i = 0; i < forest_.num_shards(); ++i) {
+      Shard<D>& s = forest_.shard(i);
+      const std::vector<uint32_t>& lg = s.live_gids();
+      std::vector<double> cd_local(lg.size());
+      for (size_t l = 0; l < lg.size(); ++l) {
+        cd_local[l] = core[DenseOf(lg[l])];
+      }
+      std::vector<WeightedEdge> edges = HdbscanMstOnTree(s.tree(), cd_local);
+      for (WeightedEdge& e : edges) {
+        e.u = lg[e.u];
+        e.v = lg[e.v];
+      }
+      candidates.insert(candidates.end(), edges.begin(), edges.end());
+    }
+    for (size_t i = 0; i < forest_.num_shards(); ++i) {
+      for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
         std::vector<WeightedEdge> edges =
-            HdbscanMstOnTree(s.tree(), cd_local);
-        for (WeightedEdge& e : edges) {
-          e.u = lg[e.u];
-          e.v = lg[e.v];
-        }
+            CrossHdbscanCandidates(forest_.shard(i), forest_.shard(j));
         candidates.insert(candidates.end(), edges.begin(), edges.end());
       }
-      for (size_t i = 0; i < forest_.num_shards(); ++i) {
-        for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
-          std::vector<WeightedEdge> edges = CrossHdbscanCandidates(
-              forest_.shard(i), forest_.shard(j));
-          candidates.insert(candidates.end(), edges.begin(), edges.end());
-        }
-      }
-      ToDense(candidates);
-      std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
-      PARHC_CHECK_MSG(mst.size() + 1 == n,
-                      "shard-forest MR-MST candidates did not span");
-      auto entry = std::make_unique<HdbscanEntry>();
-      entry->core_dist = cd;
-      entry->mst_weight = TotalEdgeWeight(mst);
-      entry->mst =
-          std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
-      TraceArtifact(out, /*built=*/true, "mst" + suffix);
-      it = hdbscan_.emplace(min_pts, std::move(entry)).first;
-      EvictLru(min_pts);
-    } else {
-      TraceArtifact(out, /*built=*/false, "mst" + suffix);
     }
-    HdbscanEntry& e = *it->second;
-    if (need_dendro || need_plot) {
-      if (!e.dendrogram) {
-        if (!allow_build) return nullptr;
-        e.dendrogram = BuildDendrogramArtifact(forest_.live_count(), *e.mst);
-        TraceArtifact(out, /*built=*/true, "dendro" + suffix);
-      } else {
-        TraceArtifact(out, /*built=*/false, "dendro" + suffix);
-      }
-    }
-    if (need_plot) {
-      if (!e.plot) {
-        if (!allow_build) return nullptr;
-        e.plot = std::make_shared<const ReachabilityPlot>(
-            ComputeReachability(*e.dendrogram));
-        TraceArtifact(out, /*built=*/true, "reach" + suffix);
-      } else {
-        TraceArtifact(out, /*built=*/false, "reach" + suffix);
-      }
-    }
-    Touch(e);
-    return &e;
-  }
-
-  void EvictLru(int keep_min_pts) {
-    EvictLruClusterings(hdbscan_, core_, keep_min_pts);
+    ToDense(candidates);
+    return KruskalMerge(forest_.live_count(), std::move(candidates));
   }
 
   bool AnswerHdbscanFamily(const EngineRequest& req, bool allow_build,
                            EngineResponse* out) {
-    if (req.min_pts < 1 ||
-        static_cast<size_t>(req.min_pts) > forest_.live_count()) {
-      out->error = "min_pts must be in [1, n]";
-      return true;
-    }
-    if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
-      out->error = "min_cluster_size must be >= 2";
-      return true;
-    }
     bool need_plot = req.type == QueryType::kReachability;
-    HdbscanEntry* e =
-        Hdbscan(req.min_pts, /*need_dendro=*/true, need_plot, allow_build,
-                out);
-    if (!e) return false;
-    out->core_dist = e->core_dist;
-    out->point_ids = ids_dense_;
-    switch (req.type) {
-      case QueryType::kHdbscan:
-        out->mst = e->mst;
-        out->mst_weight = e->mst_weight;
-        out->dendrogram = e->dendrogram;
-        break;
-      case QueryType::kDbscanStarAt:
-        out->labels = DbscanStarLabels(*e->dendrogram, *e->core_dist, req.eps);
-        SummarizeLabels(out->labels, out);
-        break;
-      case QueryType::kReachability:
-        out->plot = e->plot;
-        break;
-      case QueryType::kStableClusters: {
-        StabilityClusters sc =
-            ExtractStableClusters(*e->dendrogram, req.min_cluster_size);
-        out->labels = std::move(sc.label);
-        out->stability = std::move(sc.stability);
-        SummarizeLabels(out->labels, out);
-        break;
-      }
-      default:
-        break;
-    }
-    out->ok = true;
+    ClusteringEntry* e = clusterings_.Get(
+        req.min_pts, forest_.live_count(), need_plot, allow_build, out,
+        [&]() -> std::unique_ptr<ClusteringEntry> {
+          auto cd = clusterings_.CoreDist(
+              req.min_pts, forest_.live_count(), allow_build, out,
+              [&](size_t* stride) -> const std::vector<double>* {
+                EnsureKnn(static_cast<size_t>(req.min_pts),
+                          /*allow_build=*/true, out);
+                *stride = knn_k_;
+                return &knn_sq_;
+              });
+          return NewClusteringEntry(cd, ForestMrMst(*cd));
+        });
+    if (e == nullptr) return false;
+    FillClusteringResponse(req, *e, ids_dense_, out);
     return true;
   }
 
@@ -878,9 +710,7 @@ class DynamicArtifacts {
   std::map<std::pair<uint64_t, uint64_t>, std::vector<WeightedEdge>> cross_;
 
   // Global tier: EMST.
-  std::shared_ptr<const std::vector<WeightedEdge>> emst_mst_;
-  double emst_weight_ = 0;
-  std::shared_ptr<const Dendrogram> emst_dendro_;
+  EmstEntry emst_;
   uint64_t emst_epoch_ = kNoEpoch;
 
   // Global tier: merged kNN rows (squared distances, row i = i-th live gid
@@ -889,9 +719,8 @@ class DynamicArtifacts {
   size_t knn_k_ = 0;
   bool knn_valid_ = false;
 
-  std::map<int, std::shared_ptr<const std::vector<double>>> core_;
-  std::map<int, std::unique_ptr<HdbscanEntry>> hdbscan_;
-  std::atomic<uint64_t> clock_{0};
+  // Global tier: core distances and per-minPts clusterings.
+  ClusteringCache clusterings_;
 };
 
 }  // namespace parhc

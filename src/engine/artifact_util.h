@@ -1,11 +1,15 @@
-// Helpers shared by the engine's two artifact backends: the immutable
-// per-dataset cache (engine/artifacts.h) and the batch-dynamic shard-forest
-// cache (dynamic/artifacts.h). Factored out so both paths report the same
-// build/reuse traces and construct dendrograms identically.
+// Artifact helpers shared by every query backend: the immutable
+// per-dataset cache (engine/artifacts.h), the batch-dynamic shard-forest
+// cache (dynamic/artifacts.h) and the router's merged cache
+// (cluster/router.cc). Factored out so all of them report the same
+// build/reuse traces, merge distance-decomposition candidates, derive core
+// distances and construct dendrograms identically. How cached artifacts
+// become a response lives next door in engine/answer.h.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -17,6 +21,9 @@
 #include "dendrogram/reachability.h"
 #include "engine/request.h"
 #include "graph/edge.h"
+#include "graph/kruskal.h"
+#include "parallel/primitives.h"
+#include "util/check.h"
 
 namespace parhc {
 
@@ -63,17 +70,64 @@ inline std::shared_ptr<const Dendrogram> BuildDendrogramArtifact(
       BuildDendrogramSequential(n, edges, /*source=*/0));
 }
 
-/// One cached per-minPts clustering: the MR-MST (always) plus the
-/// dendrogram and reachability plot (built on demand). Shared by both
-/// artifact backends so the LRU machinery exists once.
-struct ClusteringEntry {
+/// The MST of the distance-decomposition rule: Kruskal over the union of
+/// per-part MSTs and cross-part candidate edges, which must span all `n`
+/// points. The shard forest and the router both merge through this.
+inline std::vector<WeightedEdge> KruskalMerge(
+    size_t n, std::vector<WeightedEdge> candidates) {
+  std::vector<WeightedEdge> mst = KruskalMst(n, std::move(candidates));
+  PARHC_CHECK_MSG(mst.size() + 1 == n,
+                  "distance-decomposition candidates did not span");
+  return mst;
+}
+
+/// Core distances at `min_pts` from `n` rows of sorted squared kNN
+/// distances (row stride `stride` >= min_pts): the square root of each
+/// row's min_pts-th entry. The shard forest and the router both derive
+/// here, so their values agree bit for bit. Issues parallel work.
+inline std::shared_ptr<const std::vector<double>> CoreDistFromSquaredKnn(
+    const std::vector<double>& rows, size_t n, size_t stride, int min_pts) {
+  auto cd = std::make_shared<std::vector<double>>(n);
+  ParallelFor(0, n, [&](size_t i) {
+    (*cd)[i] = std::sqrt(rows[i * stride + (min_pts - 1)]);
+  });
+  return cd;
+}
+
+/// A cached Euclidean MST plus its single-linkage dendrogram (built on
+/// demand).
+struct EmstEntry {
+  std::shared_ptr<const std::vector<WeightedEdge>> mst;
+  double mst_weight = 0;
+  std::shared_ptr<const Dendrogram> dendrogram;
+};
+
+/// The artifacts of one per-minPts clustering: the MR-MST (always) plus
+/// the dendrogram and reachability plot (built on demand).
+struct ClusteringArtifacts {
   std::shared_ptr<const std::vector<double>> core_dist;
   std::shared_ptr<const std::vector<WeightedEdge>> mst;
   double mst_weight = 0;
   std::shared_ptr<const Dendrogram> dendrogram;
   std::shared_ptr<const ReachabilityPlot> plot;
+};
+
+/// One cached per-minPts clustering with its LRU stamp. Shared by every
+/// backend so the LRU machinery exists once.
+struct ClusteringEntry : ClusteringArtifacts {
   std::atomic<uint64_t> last_used{0};
 };
+
+/// A fresh clustering entry around an MR-MST under `core_dist`.
+inline std::unique_ptr<ClusteringEntry> NewClusteringEntry(
+    std::shared_ptr<const std::vector<double>> core_dist,
+    std::vector<WeightedEdge> mst) {
+  auto e = std::make_unique<ClusteringEntry>();
+  e->core_dist = std::move(core_dist);
+  e->mst_weight = TotalEdgeWeight(mst);
+  e->mst = std::make_shared<const std::vector<WeightedEdge>>(std::move(mst));
+  return e;
+}
 
 /// Stamps `e` as most recently used against the backend's LRU clock. Safe
 /// on the read-only query path (atomics only).
@@ -83,29 +137,121 @@ inline void TouchClusteringEntry(ClusteringEntry& e,
                     std::memory_order_relaxed);
 }
 
-/// Drops least-recently-used clustering entries beyond the cache cap,
-/// never the one just touched. Snapshots held by responses stay valid.
-/// The matching derived core distances go too — they re-derive from the
-/// kNN rows in O(n) — so per-minPts memory really is bounded.
-inline void EvictLruClusterings(
-    std::map<int, std::unique_ptr<ClusteringEntry>>& entries,
-    std::map<int, std::shared_ptr<const std::vector<double>>>& core,
-    int keep_min_pts) {
-  while (entries.size() > kMaxCachedClusterings) {
-    auto victim = entries.end();
-    uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (auto it = entries.begin(); it != entries.end(); ++it) {
-      if (it->first == keep_min_pts) continue;
-      uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
-      if (used < oldest) {
-        oldest = used;
-        victim = it;
-      }
-    }
-    if (victim == entries.end()) return;
-    core.erase(victim->first);
-    entries.erase(victim);
+/// On-demand dendrogram step of the single-threaded caches (the dynamic
+/// backend and the router): reuses *slot, or builds it from `mst` over
+/// `n` points; records `key` either way. Returns false iff it was missing
+/// and !allow_build.
+inline bool EnsureDendrogram(std::shared_ptr<const Dendrogram>* slot,
+                             size_t n, const std::vector<WeightedEdge>& mst,
+                             const std::string& key, bool allow_build,
+                             EngineResponse* out) {
+  bool build = !*slot;
+  if (build) {
+    if (!allow_build) return false;
+    *slot = BuildDendrogramArtifact(n, mst);
   }
+  TraceArtifact(out, build, key);
+  return true;
 }
+
+/// Per-minPts clusterings of a single-threaded cache (the dynamic
+/// backend's and the router's global tier; the static backend runs its
+/// own monitor protocol), with the core distances they derive from.
+struct ClusteringCache {
+  std::map<int, std::shared_ptr<const std::vector<double>>> core;
+  std::map<int, std::unique_ptr<ClusteringEntry>> entries;
+  std::atomic<uint64_t> clock{0};
+
+  void Clear() {
+    core.clear();
+    entries.clear();
+  }
+
+  /// Core distances at `min_pts` over `n` points, derived on first use
+  /// from the squared kNN rows `knn_rows(&stride)` returns (at least
+  /// min_pts wide; null on failure). Returns null iff they were missing
+  /// and !allow_build, or the rows failed.
+  template <typename KnnRows>
+  std::shared_ptr<const std::vector<double>> CoreDist(
+      int min_pts, size_t n, bool allow_build, EngineResponse* out,
+      const KnnRows& knn_rows) {
+    const std::string key = "cd@" + std::to_string(min_pts);
+    auto it = core.find(min_pts);
+    if (it != core.end()) {
+      TraceArtifact(out, /*built=*/false, key);
+      return it->second;
+    }
+    if (!allow_build) return nullptr;
+    size_t stride = 0;
+    const std::vector<double>* rows = knn_rows(&stride);
+    if (rows == nullptr) return nullptr;
+    auto cd = CoreDistFromSquaredKnn(*rows, n, stride, min_pts);
+    core.emplace(min_pts, cd);
+    TraceArtifact(out, /*built=*/true, key);
+    return cd;
+  }
+
+  /// The clustering at `min_pts` over `n` points, its dendrogram (and,
+  /// with need_plot, reachability plot) built on demand. A missing entry
+  /// comes from `build_mst()` (a NewClusteringEntry, or null on failure).
+  /// Returns null iff something was missing and !allow_build, or the
+  /// build failed.
+  template <typename BuildMst>
+  ClusteringEntry* Get(int min_pts, size_t n, bool need_plot,
+                       bool allow_build, EngineResponse* out,
+                       const BuildMst& build_mst) {
+    const std::string suffix = "@" + std::to_string(min_pts);
+    auto it = entries.find(min_pts);
+    if (it == entries.end()) {
+      if (!allow_build) return nullptr;
+      std::unique_ptr<ClusteringEntry> built = build_mst();
+      if (!built) return nullptr;
+      TraceArtifact(out, /*built=*/true, "mst" + suffix);
+      it = entries.emplace(min_pts, std::move(built)).first;
+      EvictLru(min_pts);
+    } else {
+      TraceArtifact(out, /*built=*/false, "mst" + suffix);
+    }
+    ClusteringEntry& e = *it->second;
+    if (!EnsureDendrogram(&e.dendrogram, n, *e.mst, "dendro" + suffix,
+                          allow_build, out)) {
+      return nullptr;
+    }
+    if (need_plot) {
+      bool build = !e.plot;
+      if (build) {
+        if (!allow_build) return nullptr;
+        e.plot = std::make_shared<const ReachabilityPlot>(
+            ComputeReachability(*e.dendrogram));
+      }
+      TraceArtifact(out, build, "reach" + suffix);
+    }
+    TouchClusteringEntry(e, clock);
+    return &e;
+  }
+
+ private:
+  /// Drops least-recently-used entries beyond the cache cap, never the
+  /// one just touched. Snapshots held by responses stay valid. The
+  /// matching derived core distances go too — they re-derive from the kNN
+  /// rows in O(n) — so per-minPts memory really is bounded.
+  void EvictLru(int keep_min_pts) {
+    while (entries.size() > kMaxCachedClusterings) {
+      auto victim = entries.end();
+      uint64_t oldest = std::numeric_limits<uint64_t>::max();
+      for (auto it = entries.begin(); it != entries.end(); ++it) {
+        if (it->first == keep_min_pts) continue;
+        uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
+        if (used < oldest) {
+          oldest = used;
+          victim = it;
+        }
+      }
+      if (victim == entries.end()) return;
+      core.erase(victim->first);
+      entries.erase(victim);
+    }
+  }
+};
 
 }  // namespace parhc

@@ -25,7 +25,16 @@
 // rebuilds, and eps / min-cluster-size / reachability queries at an
 // already-seen minPts touch only the cached dendrogram.
 //
-// Invalidation (two backends, one model):
+// Three backends, one answer path: this file, the batch-dynamic shard
+// forest (dynamic/artifacts.h) and the router's merged cache over sharded
+// datasets (cluster/router.cc) only *build* artifacts. Which requests are
+// valid (and the error each invalid one gets) and how artifacts become an
+// EngineResponse are decided once, in engine/answer.h (ValidateQuery,
+// FillEmstResponse, FillClusteringResponse); the cached entry types, the
+// core-distance derivation from squared kNN rows, the distance-
+// decomposition Kruskal merge and the single-threaded clustering cache
+// live in engine/artifact_util.h. Their answers therefore agree byte for
+// byte by construction. Invalidation differs per backend:
 //  * This file is the *immutable* backend: datasets never change, so
 //    artifacts never go stale. Growing K installs a wider prefix matrix
 //    (versioned behind a shared_ptr; readers of the old width finish on
@@ -44,6 +53,8 @@
 //    therefore dirties only the new shard's artifacts, the cross edges
 //    that mention it, and the global tier — never surviving shard
 //    artifacts.
+//  * The router's cache mirrors the dynamic global tier one level up and
+//    is dropped wholesale when a sharded dataset's mutation epoch moves.
 //
 // Thread safety (this backend only; the dynamic backend relies on the
 // engine's exclusive lock): every DAG node is a monitor-guarded state
@@ -78,14 +89,13 @@
 #include <utility>
 #include <vector>
 
-#include "dendrogram/cluster_extraction.h"
 #include "dendrogram/reachability.h"
 #include "emst/emst_highdim.h"
 #include "emst/emst_memogfk.h"
+#include "engine/answer.h"
 #include "engine/artifact_util.h"
 #include "engine/request.h"
 #include "hdbscan/hdbscan_mst.h"
-#include "hdbscan/stability.h"
 #include "obs/trace.h"
 #include "spatial/knn.h"
 #include "store/artifact_io.h"
@@ -122,18 +132,12 @@ class DatasetArtifacts {
   /// build path; invalid requests return true with out->ok == false.
   bool Answer(const EngineRequest& req, bool allow_build,
               EngineResponse* out) {
-    switch (req.type) {
-      case QueryType::kEmst:
-      case QueryType::kSingleLinkage:
-        return AnswerEmstFamily(req, allow_build, out);
-      case QueryType::kHdbscan:
-      case QueryType::kDbscanStarAt:
-      case QueryType::kReachability:
-      case QueryType::kStableClusters:
-        return AnswerHdbscanFamily(req, allow_build, out);
+    if (const char* err = ValidateQuery(req, pts_.size(), /*eps_emst=*/true)) {
+      out->error = err;
+      return true;
     }
-    out->error = "unknown query type";
-    return true;
+    return IsEmstFamily(req.type) ? AnswerEmstFamily(req, allow_build, out)
+                                  : AnswerHdbscanFamily(req, allow_build, out);
   }
 
   /// Writes every cached artifact plus the manifest into `dir` (created
@@ -146,7 +150,7 @@ class DatasetArtifacts {
     std::shared_ptr<KdTree<D>> tree;
     std::shared_ptr<const KnnMatrix> knn;
     EmstEntry emst;
-    std::vector<std::pair<int, ClusteringView>> clusterings;
+    std::vector<std::pair<int, ClusteringArtifacts>> clusterings;
     {
       std::lock_guard<std::mutex> lk(state_mu_);
       tree = tree_;
@@ -154,11 +158,7 @@ class DatasetArtifacts {
       emst = emst_;
       clusterings.reserve(hdbscan_.size());
       for (const auto& [min_pts, e] : hdbscan_) {
-        ClusteringView v;
-        v.mst = e->mst;
-        v.mst_weight = e->mst_weight;
-        v.dendrogram = e->dendrogram;
-        clusterings.emplace_back(min_pts, std::move(v));
+        clusterings.emplace_back(min_pts, *e);
       }
     }
     EnsureDatasetDir(dir);
@@ -295,12 +295,6 @@ class DatasetArtifacts {
     size_t k = 0;
   };
 
-  struct EmstEntry {
-    std::shared_ptr<const std::vector<WeightedEdge>> mst;
-    double mst_weight = 0;
-    std::shared_ptr<const Dendrogram> dendrogram;  ///< single-linkage
-  };
-
   /// One high-dimensional (partitioned) EMST build, keyed by its eps
   /// bound. Immutable once published; rebuilt on demand after a snapshot
   /// warm start (derived cache, deliberately not persisted by SaveTo).
@@ -308,16 +302,6 @@ class DatasetArtifacts {
     std::shared_ptr<const std::vector<WeightedEdge>> mst;
     double mst_weight = 0;
     HighDimEmstInfo info;
-  };
-
-  /// Consistent copy of one clustering's shared_ptrs, taken under
-  /// `state_mu_` (entry fields may be extended concurrently).
-  struct ClusteringView {
-    std::shared_ptr<const std::vector<double>> core_dist;
-    std::shared_ptr<const std::vector<WeightedEdge>> mst;
-    double mst_weight = 0;
-    std::shared_ptr<const Dendrogram> dendrogram;
-    std::shared_ptr<const ReachabilityPlot> plot;
   };
 
   /// Clears a node's building flag and broadcasts at scope exit, so a
@@ -464,10 +448,12 @@ class DatasetArtifacts {
   }
 
   /// The per-minPts clustering, with the MST (always) and the dendrogram /
-  /// reachability plot (on demand) filled into *view. Returns false iff
+  /// reachability plot (on demand), copied into *view under `state_mu_`
+  /// (entry fields may be extended concurrently). Returns false iff
   /// something was missing and !allow_build.
   bool Hdbscan(int min_pts, bool need_dendro, bool need_plot,
-               bool allow_build, EngineResponse* out, ClusteringView* view) {
+               bool allow_build, EngineResponse* out,
+               ClusteringArtifacts* view) {
     const std::string suffix = "@" + std::to_string(min_pts);
     std::shared_ptr<HdbscanEntry> e;
     {
@@ -591,11 +577,7 @@ class DatasetArtifacts {
     }
     {
       std::lock_guard<std::mutex> lk(state_mu_);
-      view->core_dist = e->core_dist;
-      view->mst = e->mst;
-      view->mst_weight = e->mst_weight;
-      view->dendrogram = e->dendrogram;
-      view->plot = e->plot;
+      *view = *e;
       Touch(*e);
     }
     return true;
@@ -778,67 +760,22 @@ class DatasetArtifacts {
       out->ok = true;
       return true;
     }
-    bool need_dendro = req.type == QueryType::kSingleLinkage;
-    if (need_dendro && (req.k < 1 || req.k > pts_.size())) {
-      out->error = "k must be in [1, n]";
-      return true;
-    }
     EmstEntry e;
+    bool need_dendro = req.type == QueryType::kSingleLinkage;
     if (!Emst(need_dendro, allow_build, out, &e)) return false;
-    out->mst = e.mst;
-    out->mst_weight = e.mst_weight;
-    if (need_dendro) {
-      out->dendrogram = e.dendrogram;
-      out->labels = KClusters(*e.dendrogram, req.k);
-      SummarizeLabels(out->labels, out);
-    }
-    out->ok = true;
+    FillEmstResponse(req, e, /*point_ids=*/nullptr, out);
     return true;
   }
 
   bool AnswerHdbscanFamily(const EngineRequest& req, bool allow_build,
                            EngineResponse* out) {
-    if (req.min_pts < 1 ||
-        static_cast<size_t>(req.min_pts) > pts_.size()) {
-      out->error = "min_pts must be in [1, n]";
-      return true;
-    }
-    if (req.type == QueryType::kStableClusters && req.min_cluster_size < 2) {
-      out->error = "min_cluster_size must be >= 2";
-      return true;
-    }
+    ClusteringArtifacts e;
     bool need_plot = req.type == QueryType::kReachability;
-    bool need_dendro = true;
-    ClusteringView e;
-    if (!Hdbscan(req.min_pts, need_dendro, need_plot, allow_build, out, &e)) {
+    if (!Hdbscan(req.min_pts, /*need_dendro=*/true, need_plot, allow_build,
+                 out, &e)) {
       return false;
     }
-    out->core_dist = e.core_dist;
-    switch (req.type) {
-      case QueryType::kHdbscan:
-        out->mst = e.mst;
-        out->mst_weight = e.mst_weight;
-        out->dendrogram = e.dendrogram;
-        break;
-      case QueryType::kDbscanStarAt:
-        out->labels = DbscanStarLabels(*e.dendrogram, *e.core_dist, req.eps);
-        SummarizeLabels(out->labels, out);
-        break;
-      case QueryType::kReachability:
-        out->plot = e.plot;
-        break;
-      case QueryType::kStableClusters: {
-        StabilityClusters sc =
-            ExtractStableClusters(*e.dendrogram, req.min_cluster_size);
-        out->labels = std::move(sc.label);
-        out->stability = std::move(sc.stability);
-        SummarizeLabels(out->labels, out);
-        break;
-      }
-      default:
-        break;
-    }
-    out->ok = true;
+    FillClusteringResponse(req, e, /*point_ids=*/nullptr, out);
     return true;
   }
 

@@ -44,6 +44,7 @@
 #include <string>
 #include <utility>
 
+#include "engine/answer.h"
 #include "engine/executor.h"
 #include "engine/registry.h"
 #include "engine/request.h"
@@ -306,7 +307,7 @@ class ClusteringEngine {
                             std::vector<double>* rows) {
     std::shared_ptr<DatasetEntryBase> entry = registry_.Find(name);
     if (!entry) return "unknown dataset: " + name;
-    if (k == 0) return "k must be in [1, n]";
+    if (k == 0) return kKOutOfRange;
     if (coords.size() != count * entry->dim()) {
       return "query coordinate count does not match dim";
     }

@@ -32,6 +32,9 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
+
+#include "graph/edge.h"
 
 namespace parhc {
 namespace net {
@@ -172,6 +175,124 @@ inline std::string EncodeFrame(uint8_t opcode, const std::string& payload) {
   PutU32(&out, static_cast<uint32_t>(payload.size()));
   out += payload;
   return out;
+}
+
+// ---- Reply codecs: the one encoder/decoder pair of each reply format.
+// Encoders return the complete frame; decoders take its payload and return
+// false on a malformed one (sizes that disagree with the counts). ----
+
+/// kOpLabelsReply frame for `labels` (dense point order, -1 = noise).
+inline std::string EncodeLabelsReply(const std::vector<int32_t>& labels) {
+  std::string p;
+  p.reserve(4 + labels.size() * 4);
+  PutU32(&p, static_cast<uint32_t>(labels.size()));
+  for (int32_t l : labels) PutU32(&p, static_cast<uint32_t>(l));
+  return EncodeFrame(kOpLabelsReply, p);
+}
+
+inline bool DecodeLabelsReply(const std::string& payload,
+                              std::vector<int32_t>* labels) {
+  PayloadReader rd(payload);
+  uint32_t count = rd.GetU32();
+  if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) * 4) {
+    return false;
+  }
+  labels->resize(count);
+  for (int32_t& l : *labels) l = static_cast<int32_t>(rd.GetU32());
+  return true;
+}
+
+/// kOpPointsReply contents: ascending gids and their row-major coords.
+struct PointsReply {
+  int dim = 0;
+  std::vector<uint32_t> gids;
+  std::vector<double> coords;
+};
+
+inline std::string EncodePointsReply(int dim,
+                                     const std::vector<uint32_t>& gids,
+                                     const std::vector<double>& coords) {
+  std::string p;
+  p.reserve(6 + gids.size() * 4 + coords.size() * 8);
+  PutU16(&p, static_cast<uint16_t>(dim));
+  PutU32(&p, static_cast<uint32_t>(gids.size()));
+  for (uint32_t g : gids) PutU32(&p, g);
+  for (double v : coords) PutF64(&p, v);
+  return EncodeFrame(kOpPointsReply, p);
+}
+
+inline bool DecodePointsReply(const std::string& payload, PointsReply* out) {
+  PayloadReader rd(payload);
+  out->dim = static_cast<int>(rd.GetU16());
+  uint32_t count = rd.GetU32();
+  if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) *
+                                        (4 + out->dim * sizeof(double))) {
+    return false;
+  }
+  out->gids.resize(count);
+  for (uint32_t& g : out->gids) g = rd.GetU32();
+  out->coords.resize(static_cast<size_t>(count) * out->dim);
+  for (double& v : out->coords) v = rd.GetF64();
+  return true;
+}
+
+/// kOpEdgesReply frame for `edges`; endpoints pass through `ids` when
+/// given (dense index -> gid).
+inline std::string EncodeEdgesReply(const std::vector<WeightedEdge>& edges,
+                                    const std::vector<uint32_t>* ids) {
+  std::string p;
+  p.reserve(4 + edges.size() * 16);
+  PutU32(&p, static_cast<uint32_t>(edges.size()));
+  for (const WeightedEdge& e : edges) {
+    PutU32(&p, ids ? (*ids)[e.u] : e.u);
+    PutU32(&p, ids ? (*ids)[e.v] : e.v);
+    PutF64(&p, e.w);
+  }
+  return EncodeFrame(kOpEdgesReply, p);
+}
+
+inline bool DecodeEdgesReply(const std::string& payload,
+                             std::vector<WeightedEdge>* edges) {
+  PayloadReader rd(payload);
+  uint32_t count = rd.GetU32();
+  if (!rd.ok() || rd.remaining() != static_cast<size_t>(count) * 16) {
+    return false;
+  }
+  edges->resize(count);
+  for (WeightedEdge& e : *edges) {
+    e.u = rd.GetU32();
+    e.v = rd.GetU32();
+    e.w = rd.GetF64();
+  }
+  return true;
+}
+
+/// kOpKnnReply contents: `count` rows of `k` sorted squared distances.
+struct KnnReply {
+  uint32_t count = 0;
+  uint32_t k = 0;
+  std::vector<double> rows;
+};
+
+inline std::string EncodeKnnReply(uint32_t count, uint32_t k,
+                                  const std::vector<double>& rows) {
+  std::string p;
+  p.reserve(8 + rows.size() * 8);
+  PutU32(&p, count);
+  PutU32(&p, k);
+  for (double v : rows) PutF64(&p, v);
+  return EncodeFrame(kOpKnnReply, p);
+}
+
+inline bool DecodeKnnReply(const std::string& payload, KnnReply* out) {
+  PayloadReader rd(payload);
+  out->count = rd.GetU32();
+  out->k = rd.GetU32();
+  size_t values = static_cast<size_t>(out->count) * out->k;
+  if (!rd.ok() || rd.remaining() != values * sizeof(double)) return false;
+  out->rows.resize(values);
+  for (double& v : out->rows) v = rd.GetF64();
+  return true;
 }
 
 /// One decoded request: either a text line (without its terminator) or a

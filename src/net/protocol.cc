@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -23,7 +24,6 @@
 
 namespace parhc {
 namespace net {
-namespace {
 
 std::string StrPrintf(const char* fmt, ...) {
   va_list ap;
@@ -40,6 +40,8 @@ std::string StrPrintf(const char* fmt, ...) {
   big.resize(static_cast<size_t>(n));
   return big;
 }
+
+namespace {
 
 std::string JoinKeys(const std::vector<std::string>& keys) {
   std::string out = "[";
@@ -206,6 +208,131 @@ std::string FormatQueryResponse(const std::string& what,
                    JoinKeys(r.reused).c_str(), tail);
 }
 
+bool IsQueryVerb(const std::string& cmd) {
+  return cmd == "emst" || cmd == "slink" || cmd == "hdbscan" ||
+         cmd == "dbscan" || cmd == "reach" || cmd == "clusters";
+}
+
+std::string ParseQuery(const std::string& cmd, std::istream& ss,
+                       EngineRequest* req) {
+  ss >> req->dataset;
+  if (cmd == "emst") {
+    req->type = QueryType::kEmst;
+    std::string sub;
+    if (ss >> sub) {
+      // Optional `eps <e>` suffix routes to the partitioned
+      // high-dimensional path (emst/emst_highdim.h); eps 0 is the exact
+      // distance decomposition.
+      if (sub != "eps" || !(ss >> req->emst_eps) || req->emst_eps < 0) {
+        return "err emst: usage: emst <name> [eps <e>]\n";
+      }
+    } else {
+      ss.clear();  // plain `emst <name>`: the suffix is optional
+    }
+  } else if (cmd == "slink") {
+    req->type = QueryType::kSingleLinkage;
+    ss >> req->k;
+  } else if (cmd == "hdbscan") {
+    req->type = QueryType::kHdbscan;
+    ss >> req->min_pts;
+  } else if (cmd == "dbscan") {
+    req->type = QueryType::kDbscanStarAt;
+    ss >> req->min_pts >> req->eps;
+  } else if (cmd == "reach") {
+    req->type = QueryType::kReachability;
+    ss >> req->min_pts;
+  } else {
+    req->type = QueryType::kStableClusters;
+    ss >> req->min_pts >> req->min_cluster_size;
+  }
+  // A missing or malformed argument must not silently fall back to a
+  // default parameterization and print "ok".
+  if (ss.fail() || req->dataset.empty()) {
+    return StrPrintf("err %s: missing or malformed arguments (try help)\n",
+                     cmd.c_str());
+  }
+  return "";
+}
+
+std::string ParseInsertCoords(const std::string& name, int dim,
+                              std::istream& ss,
+                              std::vector<std::vector<double>>* rows) {
+  std::vector<double> vals;
+  double v;
+  while (ss >> v) vals.push_back(v);
+  // A malformed token must not silently truncate the batch and print
+  // "ok" (same rule the query verbs enforce).
+  if (!ss.eof()) {
+    return StrPrintf("err insert %s: malformed coordinate\n", name.c_str());
+  }
+  if (vals.empty() || vals.size() % static_cast<size_t>(dim) != 0) {
+    return StrPrintf("err insert %s: need a multiple of %d coordinates\n",
+                     name.c_str(), dim);
+  }
+  rows->resize(vals.size() / dim);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    (*rows)[i].assign(vals.begin() + i * dim, vals.begin() + (i + 1) * dim);
+  }
+  return "";
+}
+
+std::string ParseDeleteGids(const std::string& name, std::istream& ss,
+                            std::vector<uint32_t>* gids) {
+  uint32_t gid;
+  while (ss >> gid) gids->push_back(gid);
+  if (!ss.eof()) {
+    return StrPrintf("err delete %s: malformed gid\n", name.c_str());
+  }
+  if (name.empty() || gids->empty()) {
+    return "err delete: usage: delete <name> <gid> [gid ...]\n";
+  }
+  return "";
+}
+
+std::string DecodeInsertPoints(const std::string& payload,
+                               InsertPointsRequest* req) {
+  PayloadReader rd(payload);
+  req->name = rd.GetBytes(rd.GetU16());
+  req->dim = static_cast<int>(rd.GetU16());
+  uint32_t count = rd.GetU32();
+  if (!rd.ok() || req->name.empty() || req->dim <= 0 || count == 0 ||
+      rd.remaining() !=
+          static_cast<size_t>(count) * req->dim * sizeof(double)) {
+    return "err insert: malformed frame payload\n";
+  }
+  req->rows.assign(count, std::vector<double>(req->dim));
+  for (auto& row : req->rows) {
+    for (double& v : row) v = rd.GetF64();
+  }
+  return "";
+}
+
+std::string DecodeGetLabels(const std::string& payload, EngineRequest* req) {
+  PayloadReader rd(payload);
+  req->dataset = rd.GetBytes(rd.GetU16());
+  uint8_t kind = rd.GetU8();
+  req->min_pts = static_cast<int>(rd.GetU32());
+  if (kind == 0) {
+    req->type = QueryType::kDbscanStarAt;
+    req->eps = rd.GetF64();
+  } else {
+    req->type = QueryType::kStableClusters;
+    req->min_cluster_size = static_cast<size_t>(rd.GetU64());
+  }
+  if (!rd.ok() || req->dataset.empty() || kind > 1 || rd.remaining() != 0) {
+    return "err labels: malformed frame payload\n";
+  }
+  return "";
+}
+
+std::string FormatLabelsResponse(const std::string& name,
+                                 const EngineResponse& r) {
+  if (!r.ok) {
+    return StrPrintf("err labels %s: %s\n", name.c_str(), r.error.c_str());
+  }
+  return EncodeLabelsReply(r.labels);
+}
+
 namespace {
 
 // ---- Fast query-line parser (the inline cache-hit path) ----
@@ -347,20 +474,90 @@ std::string VerbOf(const WireMessage& msg) {
   return msg.text.substr(b, e == std::string::npos ? e : e - b);
 }
 
-ProtocolResult ProtocolSession::HandleLine(const std::string& line) {
-  // Standalone front-ends (the REPL, direct test drivers) have no
-  // scheduler minting trace ids; give each request its own id and
-  // `request:<verb>` span here, joining a propagated " trace=<id>" suffix
-  // when a router hop carried one. TCP workers arrive with the suffix
-  // already stripped and an id installed (server.cc/scheduler.cc), so
-  // that path is one relaxed load.
+bool HandleObservabilityVerb(const std::string& cmd, std::istream& ss,
+                             const ProtocolOptions& opts, std::string* out) {
+  std::string sub;
+  ss >> sub;
+  if (cmd == "metrics") {
+    if (opts.obs == nullptr) {
+      *out = "err metrics: no metrics registry in this front-end\n";
+    } else if (sub == "json") {
+      *out = opts.obs->metrics.Json() + '\n';
+    } else if (!sub.empty()) {
+      *out = "err metrics: usage: metrics [json]\n";
+    } else {
+      *out = opts.obs->metrics.PrometheusText() + "ok metrics\n";
+    }
+  } else if (cmd == "trace") {
+    obs::Tracer& tracer = obs::Tracer::Get();
+    if (sub == "on") {
+      tracer.Enable();
+      *out = "ok trace on\n";
+    } else if (sub == "off") {
+      tracer.Disable();
+      *out = "ok trace off\n";
+    } else if (sub == "status") {
+      *out = StrPrintf("ok trace status enabled=%d spans=%llu dropped=%llu\n",
+                       tracer.enabled() ? 1 : 0,
+                       static_cast<unsigned long long>(tracer.spans_recorded()),
+                       static_cast<unsigned long long>(tracer.spans_dropped()));
+    } else if (sub == "clear") {
+      tracer.Clear();
+      *out = "ok trace clear\n";
+    } else if (sub == "dump") {
+      std::string path;
+      ss >> path;
+      size_t spans = 0;
+      if (path.empty()) {
+        *out = "err trace: usage: trace dump <file>\n";
+      } else if (tracer.DumpJsonToFile(path, &spans)) {
+        *out = StrPrintf("ok trace dump %s spans=%zu\n", path.c_str(), spans);
+      } else {
+        *out = StrPrintf("err trace dump %s: cannot write\n", path.c_str());
+      }
+    } else {
+      *out = "err trace: usage: trace on|off|status|clear|dump <file>\n";
+    }
+  } else if (cmd == "slowlog") {
+    uint64_t us = 0;
+    if (opts.obs == nullptr) {
+      *out = "err slowlog: no slow-query log in this front-end\n";
+    } else if (sub == "clear") {
+      opts.obs->slowlog.Clear();
+      *out = "ok slowlog clear\n";
+    } else if (sub == "threshold") {
+      if (!(ss >> us)) {
+        *out = "err slowlog: usage: slowlog threshold <us>\n";
+      } else {
+        opts.obs->slowlog.set_threshold_us(us);
+        *out = StrPrintf("ok slowlog threshold_us=%llu\n",
+                         static_cast<unsigned long long>(us));
+      }
+    } else if (!sub.empty()) {
+      *out = "err slowlog: usage: slowlog [clear|threshold <us>]\n";
+    } else {
+      std::vector<obs::SlowLogRecord> entries = opts.obs->slowlog.Entries();
+      for (const obs::SlowLogRecord& e : entries) *out += e.Format() + '\n';
+      *out += StrPrintf(
+          "ok slowlog n=%zu threshold_us=%llu\n", entries.size(),
+          static_cast<unsigned long long>(opts.obs->slowlog.threshold_us()));
+    }
+  } else {
+    return false;
+  }
+  return true;
+}
+
+ProtocolResult DispatchTraced(
+    const std::string& line,
+    const std::function<ProtocolResult(const std::string&)>& dispatch) {
   obs::Tracer& tracer = obs::Tracer::Get();
-  if (obs::CurrentTraceId() != 0) return DispatchLine(line);
+  if (obs::CurrentTraceId() != 0) return dispatch(line);
   // Strip unconditionally, so untraced front-ends still parse forwarded
   // lines.
   std::string stripped = line;
   uint64_t propagated = ExtractTraceSuffix(&stripped);
-  if (propagated == 0 && !tracer.enabled()) return DispatchLine(stripped);
+  if (propagated == 0 && !tracer.enabled()) return dispatch(stripped);
   obs::TraceContext ctx(propagated ? propagated : tracer.MintTraceId());
   size_t b = stripped.find_first_not_of(" \t");
   size_t e = stripped.find_first_of(" \t", b);
@@ -373,7 +570,12 @@ ProtocolResult ProtocolSession::HandleLine(const std::string& line) {
   obs::Span span(
       obs::VerbCounters::kRequestSpanNames[obs::VerbCounters::IndexOf(verb)],
       "net");
-  return DispatchLine(stripped);
+  return dispatch(stripped);
+}
+
+ProtocolResult ProtocolSession::HandleLine(const std::string& line) {
+  return DispatchTraced(
+      line, [this](const std::string& l) { return DispatchLine(l); });
 }
 
 ProtocolResult ProtocolSession::DispatchLine(const std::string& line) {
@@ -485,28 +687,9 @@ ProtocolResult ProtocolSession::DispatchLine(const std::string& line) {
         res.out = StrPrintf("err insert %s: unknown dataset\n", name.c_str());
         return res;
       }
-      int dim = entry->dim();
-      std::vector<double> vals;
-      double v;
-      while (ss >> v) vals.push_back(v);
-      // A malformed token must not silently truncate the batch and print
-      // "ok" (same rule the query verbs enforce below).
-      if (!ss.eof()) {
-        res.out = StrPrintf("err insert %s: malformed coordinate\n",
-                            name.c_str());
-        return res;
-      }
-      if (vals.empty() || vals.size() % static_cast<size_t>(dim) != 0) {
-        res.out = StrPrintf("err insert %s: need a multiple of %d "
-                            "coordinates\n",
-                            name.c_str(), dim);
-        return res;
-      }
-      std::vector<std::vector<double>> rows(vals.size() / dim);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].assign(vals.begin() + i * dim, vals.begin() + (i + 1) * dim);
-      }
-      res.out = DoInsert(name, rows);
+      std::vector<std::vector<double>> rows;
+      res.out = ParseInsertCoords(name, entry->dim(), ss, &rows);
+      if (res.out.empty()) res.out = DoInsert(name, rows);
     } else if (cmd == "geninsert") {
       std::string name, kind;
       int dim = 0;
@@ -544,16 +727,8 @@ ProtocolResult ProtocolSession::DispatchLine(const std::string& line) {
       std::string name;
       ss >> name;
       std::vector<uint32_t> gids;
-      uint32_t gid;
-      while (ss >> gid) gids.push_back(gid);
-      if (!ss.eof()) {
-        res.out = StrPrintf("err delete %s: malformed gid\n", name.c_str());
-        return res;
-      }
-      if (name.empty() || gids.empty()) {
-        res.out = "err delete: usage: delete <name> <gid> [gid ...]\n";
-        return res;
-      }
+      res.out = ParseDeleteGids(name, ss, &gids);
+      if (!res.out.empty()) return res;
       size_t deleted = 0;
       std::string err = engine_.DeleteBatch(name, gids, &deleted);
       if (!err.empty()) {
@@ -581,131 +756,14 @@ ProtocolResult ProtocolSession::DispatchLine(const std::string& line) {
                               ? "ok drop %s\n"
                               : "err drop %s: unknown\n",
                           name.c_str());
-    } else if (cmd == "emst" || cmd == "slink" || cmd == "hdbscan" ||
-               cmd == "dbscan" || cmd == "reach" || cmd == "clusters") {
+    } else if (IsQueryVerb(cmd)) {
       EngineRequest req;
-      ss >> req.dataset;
-      if (cmd == "emst") {
-        req.type = QueryType::kEmst;
-        std::string sub;
-        if (ss >> sub) {
-          // Optional `eps <e>` suffix routes to the partitioned
-          // high-dimensional path (emst/emst_highdim.h); eps 0 is the
-          // exact distance decomposition.
-          if (sub != "eps" || !(ss >> req.emst_eps) || req.emst_eps < 0) {
-            res.out = "err emst: usage: emst <name> [eps <e>]\n";
-            return res;
-          }
-        } else {
-          ss.clear();  // plain `emst <name>`: the suffix is optional
-        }
-      } else if (cmd == "slink") {
-        req.type = QueryType::kSingleLinkage;
-        ss >> req.k;
-      } else if (cmd == "hdbscan") {
-        req.type = QueryType::kHdbscan;
-        ss >> req.min_pts;
-      } else if (cmd == "dbscan") {
-        req.type = QueryType::kDbscanStarAt;
-        ss >> req.min_pts >> req.eps;
-      } else if (cmd == "reach") {
-        req.type = QueryType::kReachability;
-        ss >> req.min_pts;
-      } else {
-        req.type = QueryType::kStableClusters;
-        ss >> req.min_pts >> req.min_cluster_size;
+      res.out = ParseQuery(cmd, ss, &req);
+      if (res.out.empty()) {
+        res.out = FormatQueryResponse(cmd, req.dataset, engine_.Run(req),
+                                      opts_.show_timing);
       }
-      // A missing or malformed argument must not silently fall back to a
-      // default parameterization and print "ok".
-      if (ss.fail() || req.dataset.empty()) {
-        res.out = StrPrintf("err %s: missing or malformed arguments "
-                            "(try help)\n",
-                            cmd.c_str());
-        return res;
-      }
-      res.out = FormatQueryResponse(cmd, req.dataset, engine_.Run(req),
-                                    opts_.show_timing);
-    } else if (cmd == "metrics") {
-      std::string mode;
-      ss >> mode;
-      if (opts_.obs == nullptr) {
-        res.out = "err metrics: no metrics registry in this front-end\n";
-      } else if (mode == "json") {
-        res.out = opts_.obs->metrics.Json();
-        res.out += '\n';
-      } else if (!mode.empty()) {
-        res.out = "err metrics: usage: metrics [json]\n";
-      } else {
-        res.out = opts_.obs->metrics.PrometheusText();
-        res.out += "ok metrics\n";
-      }
-    } else if (cmd == "trace") {
-      std::string sub;
-      ss >> sub;
-      obs::Tracer& tracer = obs::Tracer::Get();
-      if (sub == "on") {
-        tracer.Enable();
-        res.out = "ok trace on\n";
-      } else if (sub == "off") {
-        tracer.Disable();
-        res.out = "ok trace off\n";
-      } else if (sub == "status") {
-        res.out = StrPrintf(
-            "ok trace status enabled=%d spans=%llu dropped=%llu\n",
-            tracer.enabled() ? 1 : 0,
-            static_cast<unsigned long long>(tracer.spans_recorded()),
-            static_cast<unsigned long long>(tracer.spans_dropped()));
-      } else if (sub == "clear") {
-        tracer.Clear();
-        res.out = "ok trace clear\n";
-      } else if (sub == "dump") {
-        std::string path;
-        ss >> path;
-        if (path.empty()) {
-          res.out = "err trace: usage: trace dump <file>\n";
-        } else {
-          size_t spans = 0;
-          if (tracer.DumpJsonToFile(path, &spans)) {
-            res.out = StrPrintf("ok trace dump %s spans=%zu\n", path.c_str(),
-                                spans);
-          } else {
-            res.out = StrPrintf("err trace dump %s: cannot write\n",
-                                path.c_str());
-          }
-        }
-      } else {
-        res.out = "err trace: usage: trace on|off|status|clear|dump <file>\n";
-      }
-    } else if (cmd == "slowlog") {
-      std::string sub;
-      ss >> sub;
-      if (opts_.obs == nullptr) {
-        res.out = "err slowlog: no slow-query log in this front-end\n";
-      } else if (sub == "clear") {
-        opts_.obs->slowlog.Clear();
-        res.out = "ok slowlog clear\n";
-      } else if (sub == "threshold") {
-        uint64_t us = 0;
-        if (!(ss >> us)) {
-          res.out = "err slowlog: usage: slowlog threshold <us>\n";
-        } else {
-          opts_.obs->slowlog.set_threshold_us(us);
-          res.out = StrPrintf("ok slowlog threshold_us=%llu\n",
-                              static_cast<unsigned long long>(us));
-        }
-      } else if (!sub.empty()) {
-        res.out = "err slowlog: usage: slowlog [clear|threshold <us>]\n";
-      } else {
-        std::vector<obs::SlowLogRecord> entries = opts_.obs->slowlog.Entries();
-        for (const obs::SlowLogRecord& e : entries) {
-          res.out += e.Format();
-          res.out += '\n';
-        }
-        res.out += StrPrintf(
-            "ok slowlog n=%zu threshold_us=%llu\n", entries.size(),
-            static_cast<unsigned long long>(opts_.obs->slowlog.threshold_us()));
-      }
-    } else {
+    } else if (!HandleObservabilityVerb(cmd, ss, opts_, &res.out)) {
       res.out = StrPrintf("err unknown command: %s (try help)\n", cmd.c_str());
     }
   } catch (const std::exception& e) {
@@ -720,57 +778,25 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
   try {
     PayloadReader rd(payload);
     if (opcode == kOpInsertPoints) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      int dim = static_cast<int>(rd.GetU16());
-      uint32_t count = rd.GetU32();
-      if (!rd.ok() || name.empty() || dim <= 0 || count == 0 ||
-          rd.remaining() != static_cast<size_t>(count) * dim * sizeof(double)) {
-        res.out = "err insert: malformed frame payload\n";
-        return res;
-      }
-      auto entry = engine_.registry().Find(name);
+      InsertPointsRequest ins;
+      res.out = DecodeInsertPoints(payload, &ins);
+      if (!res.out.empty()) return res;
+      auto entry = engine_.registry().Find(ins.name);
       if (!entry) {
-        res.out = StrPrintf("err insert %s: unknown dataset\n", name.c_str());
-        return res;
-      }
-      if (entry->dim() != dim) {
+        res.out =
+            StrPrintf("err insert %s: unknown dataset\n", ins.name.c_str());
+      } else if (entry->dim() != ins.dim) {
         res.out = StrPrintf("err insert %s: frame dim %d != dataset dim %d\n",
-                            name.c_str(), dim, entry->dim());
-        return res;
-      }
-      std::vector<std::vector<double>> rows(count, std::vector<double>(dim));
-      for (auto& row : rows) {
-        for (double& v : row) v = rd.GetF64();
-      }
-      res.out = DoInsert(name, rows);
-    } else if (opcode == kOpGetLabels) {
-      std::string name = rd.GetBytes(rd.GetU16());
-      uint8_t kind = rd.GetU8();
-      EngineRequest req;
-      req.dataset = name;
-      req.min_pts = static_cast<int>(rd.GetU32());
-      if (kind == 0) {
-        req.type = QueryType::kDbscanStarAt;
-        req.eps = rd.GetF64();
+                            ins.name.c_str(), ins.dim, entry->dim());
       } else {
-        req.type = QueryType::kStableClusters;
-        req.min_cluster_size = static_cast<size_t>(rd.GetU64());
+        res.out = DoInsert(ins.name, ins.rows);
       }
-      if (!rd.ok() || name.empty() || kind > 1 || rd.remaining() != 0) {
-        res.out = "err labels: malformed frame payload\n";
-        return res;
+    } else if (opcode == kOpGetLabels) {
+      EngineRequest req;
+      res.out = DecodeGetLabels(payload, &req);
+      if (res.out.empty()) {
+        res.out = FormatLabelsResponse(req.dataset, engine_.Run(req));
       }
-      EngineResponse r = engine_.Run(req);
-      if (!r.ok) {
-        res.out = StrPrintf("err labels %s: %s\n", name.c_str(),
-                            r.error.c_str());
-        return res;
-      }
-      std::string reply;
-      reply.reserve(4 + r.labels.size() * 4);
-      PutU32(&reply, static_cast<uint32_t>(r.labels.size()));
-      for (int32_t l : r.labels) PutU32(&reply, static_cast<uint32_t>(l));
-      res.out = EncodeFrame(kOpLabelsReply, reply);
     } else if (opcode == kOpExportPoints) {
       std::string name = rd.GetBytes(rd.GetU16());
       if (!rd.ok() || name.empty() || rd.remaining() != 0) {
@@ -785,13 +811,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
         res.out = StrPrintf("err export %s: %s\n", name.c_str(), err.c_str());
         return res;
       }
-      std::string reply;
-      reply.reserve(6 + gids.size() * 4 + coords.size() * 8);
-      PutU16(&reply, static_cast<uint16_t>(dim));
-      PutU32(&reply, static_cast<uint32_t>(gids.size()));
-      for (uint32_t g : gids) PutU32(&reply, g);
-      for (double v : coords) PutF64(&reply, v);
-      res.out = EncodeFrame(kOpPointsReply, reply);
+      res.out = EncodePointsReply(dim, gids, coords);
     } else if (opcode == kOpExportMst) {
       std::string name = rd.GetBytes(rd.GetU16());
       if (!rd.ok() || name.empty() || rd.remaining() != 0) {
@@ -810,17 +830,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
       // MST endpoints are dense point indices; rewrite to global ids so
       // the router can merge edge lists across workers (point_ids is null
       // for static datasets, where dense index == gid).
-      size_t count = r.mst ? r.mst->size() : 0;
-      std::string reply;
-      reply.reserve(4 + count * 16);
-      PutU32(&reply, static_cast<uint32_t>(count));
-      for (size_t i = 0; i < count; ++i) {
-        const WeightedEdge& e = (*r.mst)[i];
-        PutU32(&reply, r.point_ids ? (*r.point_ids)[e.u] : e.u);
-        PutU32(&reply, r.point_ids ? (*r.point_ids)[e.v] : e.v);
-        PutF64(&reply, e.w);
-      }
-      res.out = EncodeFrame(kOpEdgesReply, reply);
+      res.out = EncodeEdgesReply(*r.mst, r.point_ids.get());
     } else if (opcode == kOpKnnQuery) {
       std::string name = rd.GetBytes(rd.GetU16());
       uint32_t k = rd.GetU32();
@@ -839,12 +849,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
         res.out = StrPrintf("err knn %s: %s\n", name.c_str(), err.c_str());
         return res;
       }
-      std::string reply;
-      reply.reserve(8 + rows.size() * 8);
-      PutU32(&reply, count);
-      PutU32(&reply, k);
-      for (double v : rows) PutF64(&reply, v);
-      res.out = EncodeFrame(kOpKnnReply, reply);
+      res.out = EncodeKnnReply(count, k, rows);
     } else if (opcode == kOpShardMrMst) {
       std::string name = rd.GetBytes(rd.GetU16());
       uint32_t count = rd.GetU32();
@@ -861,15 +866,7 @@ ProtocolResult ProtocolSession::HandleFrame(uint8_t opcode,
         res.out = StrPrintf("err mrmst %s: %s\n", name.c_str(), err.c_str());
         return res;
       }
-      std::string reply;
-      reply.reserve(4 + edges.size() * 16);
-      PutU32(&reply, static_cast<uint32_t>(edges.size()));
-      for (const WeightedEdge& e : edges) {
-        PutU32(&reply, e.u);
-        PutU32(&reply, e.v);
-        PutF64(&reply, e.w);
-      }
-      res.out = EncodeFrame(kOpEdgesReply, reply);
+      res.out = EncodeEdgesReply(edges, /*ids=*/nullptr);
     } else {
       res.out = StrPrintf("err frame: unknown opcode 0x%02x\n", opcode);
     }

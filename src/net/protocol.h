@@ -42,6 +42,13 @@
 // same execution paths: kOpInsertPoints answers with the text `insert`
 // verb's line, kOpGetLabels answers with a kOpLabelsReply frame.
 //
+// This file owns the wire grammar: the query verbs, `insert` coordinates,
+// `delete` gids and the kOpInsertPoints / kOpGetLabels request payloads
+// are parsed only here (ParseQuery & co. below), by the engine session
+// and by the router tier (src/cluster/router.cc) alike. Reply frames are
+// encoded and decoded only by the codecs in frame.h; query answers are
+// validated and shaped only by engine/answer.h.
+//
 // Thread-safety: a ProtocolSession holds only a reference to the (thread-
 // safe) engine plus immutable options, so distinct sessions may execute
 // on distinct threads concurrently. One session must not be driven from
@@ -55,6 +62,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -176,6 +185,26 @@ std::string FormatQueryResponse(const std::string& what,
                                 const std::string& name,
                                 const EngineResponse& r, bool show_timing);
 
+/// Answers the observability verbs (metrics, trace, slowlog) into *out
+/// for any front-end; returns false when `cmd` is none of them.
+bool HandleObservabilityVerb(const std::string& cmd, std::istream& ss,
+                             const ProtocolOptions& opts, std::string* out);
+
+/// Runs `dispatch` on one text request line inside its trace. Standalone
+/// front-ends (the REPL, tests driving a session or router in-process)
+/// have no scheduler minting trace ids, so each request gets its own id
+/// and `request:<verb>` span here, joining a propagated " trace=<id>"
+/// suffix when a router hop carried one; the suffix is stripped either
+/// way. TCP front-ends arrive with the suffix already stripped and an id
+/// installed (server.cc/scheduler.cc), which makes this one relaxed load.
+ProtocolResult DispatchTraced(
+    const std::string& line,
+    const std::function<ProtocolResult(const std::string&)>& dispatch);
+
+/// printf into a std::string — the reply-line formatter of every
+/// front-end.
+std::string StrPrintf(const char* fmt, ...);
+
 /// The `help` verb's text (golden-pinned; the router serves the same).
 std::string ProtocolHelpText();
 
@@ -193,6 +222,46 @@ std::string ProtocolDims();
 /// forwarded lines. (A dataset literally named "trace=<digits>" as the
 /// final token would be eaten — accepted, documented quirk.)
 uint64_t ExtractTraceSuffix(std::string* line);
+
+// ---- The wire grammar. Each parser returns "" on success, else the
+// exact err line to send back. ----
+
+/// True for the query verbs: emst, slink, hdbscan, dbscan, reach,
+/// clusters.
+bool IsQueryVerb(const std::string& cmd);
+
+/// Parses query verb `cmd`'s arguments (`ss` is positioned after the
+/// verb) into *req.
+std::string ParseQuery(const std::string& cmd, std::istream& ss,
+                       EngineRequest* req);
+
+/// Parses `insert <name>`'s coordinates (`ss` is positioned after the
+/// name) into rows of `dim` values.
+std::string ParseInsertCoords(const std::string& name, int dim,
+                              std::istream& ss,
+                              std::vector<std::vector<double>>* rows);
+
+/// Parses `delete <name>`'s gid list (`ss` is positioned after the name).
+std::string ParseDeleteGids(const std::string& name, std::istream& ss,
+                            std::vector<uint32_t>* gids);
+
+/// A decoded kOpInsertPoints request; the coordinates land straight in
+/// the rows.
+struct InsertPointsRequest {
+  std::string name;
+  int dim = 0;
+  std::vector<std::vector<double>> rows;
+};
+std::string DecodeInsertPoints(const std::string& payload,
+                               InsertPointsRequest* req);
+
+/// Decodes a kOpGetLabels request into the equivalent query.
+std::string DecodeGetLabels(const std::string& payload, EngineRequest* req);
+
+/// The reply to a kOpGetLabels request for dataset `name`: a
+/// kOpLabelsReply frame, or the err line.
+std::string FormatLabelsResponse(const std::string& name,
+                                 const EngineResponse& r);
 
 /// Generated points as runtime rows (the `gen`/`geninsert` generators);
 /// empty when the kind or dim is unknown. Callers that issue this from a

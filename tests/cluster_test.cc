@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -263,13 +264,9 @@ void CheckLabelsFrame(Router& router, ClusteringEngine& ref_engine,
   ASSERT_GT(out.size(), net::kFrameHeaderBytes);
   ASSERT_EQ(static_cast<uint8_t>(out[0]), net::kFrameMagic) << out;
   ASSERT_EQ(static_cast<uint8_t>(out[1]), net::kOpLabelsReply);
-  // PayloadReader holds a reference — the payload must outlive it.
-  std::string frame_payload = out.substr(net::kFrameHeaderBytes);
-  net::PayloadReader rd(frame_payload);
-  uint32_t count = rd.GetU32();
-  std::vector<int32_t> labels(count);
-  for (auto& l : labels) l = static_cast<int32_t>(rd.GetU32());
-  ASSERT_TRUE(rd.ok());
+  std::vector<int32_t> labels;
+  ASSERT_TRUE(
+      net::DecodeLabelsReply(out.substr(net::kFrameHeaderBytes), &labels));
 
   EngineRequest req;
   req.type = QueryType::kDbscanStarAt;
@@ -425,6 +422,171 @@ TEST(Router, ShardedSaveLoadServesWarmAcrossRouterRestart) {
   EXPECT_EQ(StripArtifacts(Ask(router2, "hdbscan p 4")), before);
   EXPECT_EQ(Ask(router2, "list"),
             "dataset p dim=2 n=77 mode=sharded\nok list\n");
+}
+
+// ---------------------------------------------------------------------------
+// Query validation parity
+
+net::WireMessage Line(const std::string& text) {
+  net::WireMessage msg;
+  msg.text = text;
+  return msg;
+}
+
+/// kOpGetLabels request: kind 0 = DBSCAN* at `eps`, kind 1 = stable
+/// clusters at `min_cluster_size`.
+net::WireMessage LabelsFrame(const std::string& name, uint8_t kind,
+                             uint32_t min_pts, double eps,
+                             uint64_t min_cluster_size) {
+  net::WireMessage msg;
+  msg.binary = true;
+  msg.opcode = net::kOpGetLabels;
+  net::PutU16(&msg.payload, static_cast<uint16_t>(name.size()));
+  msg.payload += name;
+  msg.payload += static_cast<char>(kind);
+  net::PutU32(&msg.payload, min_pts);
+  if (kind == 0) {
+    net::PutF64(&msg.payload, eps);
+  } else {
+    net::PutU64(&msg.payload, min_cluster_size);
+  }
+  return msg;
+}
+
+// Every invalid query gets the same err line whichever backend answers it:
+// a static dataset and a dynamic one on a single node, and a sharded one
+// behind a router (whose merged answers never reach a worker's validator).
+TEST(Router, InvalidQueriesErrIdenticallyOnStaticDynamicAndShardedDatasets) {
+  Worker w1, w2;
+  Router router({w1.addr(), w2.addr()}, NoHealth());
+  ASSERT_EQ(router.Start(), "");
+  ClusteringEngine engine;
+  net::ProtocolSession single(engine, NoTiming());
+  using Ask = std::function<std::string(const net::WireMessage&)>;
+  Ask on_single = [&](const net::WireMessage& m) {
+    return single.Handle(m).out;
+  };
+  Ask on_router = [&](const net::WireMessage& m) {
+    return router.Handle(m, NoTiming()).out;
+  };
+
+  struct Path {
+    std::string name;
+    Ask ask;
+    bool is_static;
+  };
+  // 40 points each, plus an emptied dynamic and an emptied sharded one.
+  const std::vector<Path> sized = {{"st", on_single, true},
+                                   {"dy", on_single, false},
+                                   {"sh", on_router, false}};
+  const std::vector<Path> emptied = {{"de", on_single, false},
+                                     {"se", on_router, false}};
+  ASSERT_EQ(on_single(Line("gen st 2 uniform 40 1")).substr(0, 3), "ok ");
+  ASSERT_EQ(on_single(Line("geninsert dy 2 uniform 40 1")).substr(0, 3),
+            "ok ");
+  ASSERT_EQ(on_router(Line("geninsert sh 2 uniform 40 1")).substr(0, 3),
+            "ok ");
+  for (const Path& p : emptied) {
+    const std::string& n = p.name;
+    ASSERT_EQ(p.ask(Line("dyn " + n + " 2")), "ok dyn " + n + " dim=2\n");
+    ASSERT_EQ(p.ask(Line("insert " + n + " 0.5 0.5")).substr(0, 3), "ok ");
+    ASSERT_EQ(p.ask(Line("delete " + n + " 0")),
+              "ok delete " + n + " deleted=1\n");
+  }
+
+  for (const Path& p : sized) {
+    const std::string& n = p.name;
+    auto check = [&](const std::string& q, const std::string& want) {
+      EXPECT_EQ(p.ask(Line(q)), want) << n << ": " << q;
+    };
+    const std::string k_range = ": k must be in [1, n]\n";
+    const std::string m_range = ": min_pts must be in [1, n]\n";
+    const std::string mcs = ": min_cluster_size must be >= 2\n";
+    check("slink " + n + " 0", "err slink " + n + k_range);
+    check("slink " + n + " 41", "err slink " + n + k_range);
+    check("hdbscan " + n + " 0", "err hdbscan " + n + m_range);
+    check("hdbscan " + n + " 41", "err hdbscan " + n + m_range);
+    check("reach " + n + " 0", "err reach " + n + m_range);
+    check("reach " + n + " 41", "err reach " + n + m_range);
+    check("dbscan " + n + " 41 0.1", "err dbscan " + n + m_range);
+    check("clusters " + n + " 4 1", "err clusters " + n + mcs);
+    check("clusters " + n + " 0 1", "err clusters " + n + m_range);
+    check("hdbscan " + n + " x",
+          "err hdbscan: missing or malformed arguments (try help)\n");
+    check("dbscan " + n + " 4",
+          "err dbscan: missing or malformed arguments (try help)\n");
+    check("slink", "err slink: missing or malformed arguments (try help)\n");
+    check("emst " + n + " eps", "err emst: usage: emst <name> [eps <e>]\n");
+    if (!p.is_static) {
+      check("emst " + n + " eps 0.5",
+            "err emst " + n +
+                ": eps EMST is supported on static datasets only\n");
+    }
+    EXPECT_EQ(p.ask(LabelsFrame(n, 0, 0, 0.1, 0)), "err labels " + n + m_range)
+        << n;
+    EXPECT_EQ(p.ask(LabelsFrame(n, 0, 41, 0.1, 0)),
+              "err labels " + n + m_range)
+        << n;
+    EXPECT_EQ(p.ask(LabelsFrame(n, 1, 0, 0, 1)), "err labels " + n + m_range)
+        << n;
+    EXPECT_EQ(p.ask(LabelsFrame(n, 1, 4, 0, 1)), "err labels " + n + mcs)
+        << n;
+    net::WireMessage truncated = LabelsFrame(n, 1, 4, 0, 5);
+    truncated.payload.pop_back();
+    EXPECT_EQ(p.ask(truncated), "err labels: malformed frame payload\n") << n;
+  }
+
+  // On an emptied dataset emptiness is reported before any other check.
+  for (const Path& p : emptied) {
+    const std::string& n = p.name;
+    const std::vector<std::string> queries = {
+        "emst " + n,           "emst " + n + " eps 0.5",
+        "slink " + n + " 0",   "hdbscan " + n + " 4",
+        "reach " + n + " 0",   "dbscan " + n + " 4 0.1",
+        "clusters " + n + " 0 1"};
+    for (const std::string& q : queries) {
+      const std::string verb = q.substr(0, q.find(' '));
+      EXPECT_EQ(p.ask(Line(q)),
+                "err " + verb + " " + n + ": dataset is empty\n")
+          << q;
+    }
+    EXPECT_EQ(p.ask(LabelsFrame(n, 1, 4, 0, 1)),
+              "err labels " + n + ": dataset is empty\n")
+        << n;
+  }
+}
+
+// A worker's own text error to a fanned-out kNN frame reaches the client
+// as the complete line a single node sends.
+TEST(Router, ShardedKnnWorkerErrorsMatchSingleNodeLines) {
+  Worker w1, w2;
+  Router router({w1.addr(), w2.addr()}, NoHealth());
+  ASSERT_EQ(router.Start(), "");
+  ClusteringEngine engine;
+  net::ProtocolSession single(engine, NoTiming());
+  const std::string make = "geninsert s 2 uniform 30 1";
+  ASSERT_EQ(Ask(router, make), single.HandleLine(make).out);
+  struct Case {
+    uint32_t k;
+    int dim;
+  };
+  for (Case c : {Case{0, 2}, Case{2, 3}}) {
+    const uint32_t k = c.k;
+    const int dim = c.dim;
+    net::WireMessage msg;
+    msg.binary = true;
+    msg.opcode = net::kOpKnnQuery;
+    net::PutU16(&msg.payload, 1);
+    msg.payload += 's';
+    net::PutU32(&msg.payload, k);
+    net::PutU16(&msg.payload, static_cast<uint16_t>(dim));
+    net::PutU32(&msg.payload, 1);
+    for (int d = 0; d < dim; ++d) net::PutF64(&msg.payload, 0.5);
+    std::string want = single.Handle(msg).out;
+    ASSERT_EQ(want.rfind("err knn", 0), 0u) << want;
+    EXPECT_EQ(router.Handle(msg, NoTiming()).out, want)
+        << "k=" << k << " dim=" << dim;
+  }
 }
 
 // ---------------------------------------------------------------------------

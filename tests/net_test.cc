@@ -590,12 +590,9 @@ TEST(NetServer, BinaryInsertAndLabelFrames) {
   std::string reply;
   ASSERT_TRUE(client.ReadFrame(&opcode, &reply));
   EXPECT_EQ(opcode, net::kOpLabelsReply);
-  net::PayloadReader rd(reply);
-  uint32_t count = rd.GetU32();
-  ASSERT_EQ(count, 8u);
-  std::vector<int32_t> labels(count);
-  for (auto& l : labels) l = static_cast<int32_t>(rd.GetU32());
-  EXPECT_TRUE(rd.ok());
+  std::vector<int32_t> labels;
+  ASSERT_TRUE(net::DecodeLabelsReply(reply, &labels));
+  ASSERT_EQ(labels.size(), 8u);
 
   // Must bit-match the engine answered directly.
   ClusteringEngine ref;
