@@ -14,8 +14,19 @@
 // Each DynamicIngest benchmark runs both and reports secs_per_batch for
 // the two strategies plus `speedup` (rebuild / incremental amortized
 // cost). The acceptance target is >= 5x at N = 1M, 2D, 1% batches (see
-// README "Dynamic datasets" for measured numbers). CI runs a small-N smoke
-// via the bench_dynamic_smoke target, emitting BENCH_dynamic_ingest.json.
+// README "Dynamic datasets" for measured numbers).
+//
+// DynamicDeleteChurn is the delete side: a warm single-shard base, then
+// rounds of 3 random deletes + EMST. `repair` times the forest, which
+// rebuilds the shard's kd-tree and repairs its EMST from the surviving
+// edges; `rebuild` times a from-scratch kd-tree + MemoGFK over the same
+// live points (what every such round cost before the repair). `speedup`
+// is rebuild / repair.
+//
+// CI runs a small-N smoke via the bench_dynamic_smoke target, emitting
+// BENCH_dynamic_ingest.json.
+#include <random>
+
 #include "bench_common.h"
 #include "dynamic/artifacts.h"
 
@@ -23,6 +34,8 @@ namespace parhc_bench {
 namespace {
 
 constexpr int kBatches = 5;
+constexpr int kDeleteRounds = 5;
+constexpr size_t kDeletesPerRound = 3;
 
 template <int D>
 std::vector<Point<D>> Gen(const std::string& kind, size_t n, uint64_t seed) {
@@ -95,6 +108,58 @@ void RunIngest(benchmark::State& st, const std::string& kind, size_t n,
   st.counters["workers"] = workers;
 }
 
+template <int D>
+void RunDeleteChurn(benchmark::State& st, const std::string& kind, size_t n,
+                    int workers) {
+  SetNumWorkers(workers);
+  std::vector<Point<D>> base = Gen<D>(kind, n, 1);
+  EngineRequest req;
+  req.type = QueryType::kEmst;
+  for (auto _ : st) {
+    DynamicArtifacts<D> dyn;
+    dyn.InsertBatch(base);
+    EngineResponse warm;
+    PARHC_CHECK(dyn.Answer(req, /*allow_build=*/true, &warm) && warm.ok);
+    std::vector<uint8_t> live(n, 1);
+    std::mt19937_64 rng(7);
+    Timer t;
+    double repair = 0, rebuild = 0;
+    for (int round = 0; round < kDeleteRounds; ++round) {
+      std::vector<uint32_t> doomed;
+      while (doomed.size() < kDeletesPerRound) {
+        uint32_t gid = static_cast<uint32_t>(rng() % n);
+        if (live[gid]) {
+          live[gid] = 0;
+          doomed.push_back(gid);
+        }
+      }
+      t.Reset();
+      PARHC_CHECK(dyn.DeleteBatch(doomed) == doomed.size());
+      EngineResponse r;
+      PARHC_CHECK(dyn.Answer(req, /*allow_build=*/true, &r) && r.ok);
+      repair += t.Seconds();
+      benchmark::DoNotOptimize(r.mst);
+
+      std::vector<Point<D>> pts;
+      pts.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (live[i]) pts.push_back(base[i]);
+      }
+      t.Reset();
+      auto mst = EmstMemoGfk(pts);
+      rebuild += t.Seconds();
+      benchmark::DoNotOptimize(mst.data());
+    }
+    st.counters["repair_secs_per_round"] = repair / kDeleteRounds;
+    st.counters["rebuild_secs_per_round"] = rebuild / kDeleteRounds;
+    st.counters["speedup"] = rebuild / repair;
+  }
+  st.counters["base_n"] = static_cast<double>(n);
+  st.counters["deletes_per_round"] = kDeletesPerRound;
+  st.counters["rounds"] = kDeleteRounds;
+  st.counters["workers"] = workers;
+}
+
 void RegisterAll() {
   size_t n = EnvN(100000);
   int maxt = EnvMaxThreads();
@@ -106,6 +171,11 @@ void RegisterAll() {
   benchmark::RegisterBenchmark(
       "DynamicIngest/3D-SS-varden",
       [=](benchmark::State& st) { RunIngest<3>(st, "varden", n, maxt); })
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(EnvIters());
+  benchmark::RegisterBenchmark(
+      "DynamicDeleteChurn/2D-SS-varden",
+      [=](benchmark::State& st) { RunDeleteChurn<2>(st, "varden", n, maxt); })
       ->Unit(benchmark::kMillisecond)
       ->Iterations(EnvIters());
 }

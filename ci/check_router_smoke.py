@@ -77,6 +77,9 @@ SCRIPT = [
     "insert s 0.1 0.2 0.9 0.8",
     "emst s",
     "delete s 0 5 17",
+    "emst s",                       # shard EMSTs repaired after a delete
+    "delete s 33 1200 2999",
+    "emst s",                       # ... and again from the repaired ones
     "hdbscan s 10",
     "dbscan s 10 0.1",
     "reach s 10",

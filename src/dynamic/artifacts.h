@@ -6,7 +6,10 @@
 //
 //   shard tier    per-shard kd-tree and EMST edge list, cached inside the
 //                 shard object; survive any mutation that leaves the shard
-//                 untouched (keyed implicitly by shard content id).
+//                 untouched (keyed implicitly by shard content id). A
+//                 delete drops the shard's tree but not its EMST: the old
+//                 edges seed the next shard EMST build, which repairs only
+//                 the cut the deleted points opened (shard.h).
 //   cross tier    per shard *pair*: the Euclidean cross candidate edges
 //                 (well-separated cross decomposition + cross BCCP, s = 2),
 //                 cached by content-id pair — stale exactly when either

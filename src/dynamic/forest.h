@@ -9,7 +9,10 @@
 // times over its lifetime. DeleteBatch tombstones points in place through a
 // gid locator; a shard whose dead fraction passes kCompactDeadFraction is
 // compacted (its survivors re-enter the forest as a fresh shard, which may
-// itself cascade into merges).
+// itself cascade into merges). A tombstoned shard keeps its EMST as a
+// repair seed (shard.h), and compaction hands that seed to the survivors'
+// shard — same live set — so neither path rebuilds a shard EMST from
+// scratch; merged shards do.
 //
 // Global ids are assigned sequentially at insertion and never reused. The
 // locator is a *compacting* hash map gid -> (shard uid, local index):
@@ -147,10 +150,12 @@ class ShardForest {
       if (s.dead_fraction() <= kCompactDeadFraction && s.live_count() > 0) {
         continue;
       }
-      auto live = shards_[slot]->TakeLive();
+      std::vector<WeightedEdge> seed = s.TakeEmstSeed();
+      auto live = s.TakeLive();
       RemoveShard(slot);
       if (!live.first.empty()) {
-        AddShard(std::move(live.first), std::move(live.second));
+        AddShard(std::move(live.first), std::move(live.second))
+            .SeedEmst(std::move(seed));
       }
       structural = true;
     }
@@ -186,7 +191,7 @@ class ShardForest {
     uint32_t local = 0;
   };
 
-  void AddShard(std::vector<Point<D>> pts, std::vector<uint32_t> gids) {
+  Shard<D>& AddShard(std::vector<Point<D>> pts, std::vector<uint32_t> gids) {
     uint64_t uid = next_uid_++;
     auto s = std::make_unique<Shard<D>>(uid, next_content_id_++,
                                         std::move(pts), std::move(gids));
@@ -195,6 +200,7 @@ class ShardForest {
     }
     slot_of_uid_[uid] = shards_.size();
     shards_.push_back(std::move(s));
+    return *shards_.back();
   }
 
   void RemoveShard(size_t slot) {

@@ -5,9 +5,12 @@
 // what every derived artifact is defined over: a flat kd-tree arena built
 // with the existing arena builder, and the shard's Euclidean MST edge list
 // in global-id space. Both are built lazily and cached until the live set
-// changes (a tombstone drops them; the GPU single-tree EMST line of work,
-// Prokopenko et al. arXiv:2207.00514, motivates keeping each shard a static
-// flat arena rather than mutating the tree in place).
+// changes. A tombstone drops the tree (the GPU single-tree EMST line of
+// work, Prokopenko et al. arXiv:2207.00514, motivates keeping each shard a
+// static flat arena rather than mutating the tree in place) but keeps the
+// EMST as a repair seed: every seed edge whose endpoints both survive is
+// still an MST edge, so the next EmstEdges() runs MemoGFK with those edges
+// already unioned and only searches the cut the deleted points opened.
 //
 // Identity is two-level:
 //  * `uid`        — stable for the lifetime of the shard object; the
@@ -24,13 +27,16 @@
 // forest's MSTs to match a from-scratch build edge-for-edge.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "emst/emst_memogfk.h"
 #include "graph/edge.h"
+#include "parallel/primitives.h"
 #include "spatial/kdtree.h"
 #include "util/check.h"
 
@@ -100,8 +106,10 @@ class Shard {
   /// has_emst()); read-only, for snapshot saves.
   const std::vector<WeightedEdge>& cached_emst() const { return emst_; }
 
-  /// Tombstones one local index, dropping the live-set artifacts. The
-  /// forest bumps `content_id` alongside. Returns false if already dead.
+  /// Tombstones one local index, dropping the kd-tree and live arrays. A
+  /// built EMST becomes the repair seed, which survives further tombstones
+  /// until the next EmstEdges(). The forest bumps `content_id` alongside.
+  /// Returns false if already dead.
   bool Tombstone(uint32_t local, uint64_t new_content_id) {
     PARHC_CHECK(local < pts_.size());
     if (dead_[local]) return false;
@@ -109,11 +117,29 @@ class Shard {
     ++dead_count_;
     content_id_ = new_content_id;
     tree_.reset();
-    emst_.clear();
-    has_emst_ = false;
+    if (has_emst_) {
+      seed_ = std::move(emst_);
+      emst_ = {};
+      has_emst_ = false;
+    }
     live_pts_.clear();
     live_gids_.clear();
     return true;
+  }
+
+  /// Releases the repair seed (global-id space), for the shard that takes
+  /// over this one's survivors (forest compaction).
+  std::vector<WeightedEdge> TakeEmstSeed() {
+    std::vector<WeightedEdge> seed = std::move(seed_);
+    seed_ = {};
+    return seed;
+  }
+
+  /// Installs a repair seed: MST edges, in global-id space, of a point set
+  /// that contains this shard's live set (see TakeEmstSeed).
+  void SeedEmst(std::vector<WeightedEdge> seed) {
+    PARHC_CHECK(!has_emst_);
+    seed_ = std::move(seed);
   }
 
   /// Live points / gids in local (= gid-ascending) order. Aliases the full
@@ -140,10 +166,11 @@ class Shard {
   }
 
   /// The shard's exact EMST over its live points, edges in global-id space,
-  /// built on first use via MemoGFK on the shard tree.
+  /// built on first use via MemoGFK on the shard tree — seeded with the
+  /// surviving repair-seed edges after a delete.
   const std::vector<WeightedEdge>& EmstEdges() {
     if (!has_emst_) {
-      emst_ = EmstMemoGfkOnTree(tree());
+      emst_ = EmstMemoGfkOnTree(tree(), nullptr, {}, TakeLiveSeed());
       const std::vector<uint32_t>& lg = live_gids();
       for (WeightedEdge& e : emst_) {
         e.u = lg[e.u];
@@ -168,6 +195,49 @@ class Shard {
   Shard& operator=(const Shard&) = delete;
 
  private:
+  static constexpr uint32_t kNotHere = std::numeric_limits<uint32_t>::max();
+
+  /// Local index of `gid`, or kNotHere. Gids are distinct ascending
+  /// integers, so gids_[i] >= gids_[0] + i and gids_[i] <= gids_.back() -
+  /// (n - 1 - i): the search window collapses to one slot when the shard's
+  /// gids form one contiguous run (every fresh batch).
+  uint32_t LocalOf(uint32_t gid) const {
+    size_t n = gids_.size();
+    if (gid < gids_.front() || gid > gids_.back()) return kNotHere;
+    size_t hi = std::min<size_t>(n, size_t{gid} - gids_.front() + 1);
+    size_t lo = n - 1 - std::min<size_t>(n - 1, gids_.back() - gid);
+    if (lo >= hi) return kNotHere;
+    auto it = std::lower_bound(gids_.begin() + lo, gids_.begin() + hi, gid);
+    if (it == gids_.begin() + hi || *it != gid) return kNotHere;
+    return static_cast<uint32_t>(it - gids_.begin());
+  }
+
+  /// Releases the repair seed, mapped to live-local ids (tree point ids)
+  /// and restricted to the edges whose endpoints are both live. Local
+  /// order is gid order, so a live point's live-local id is its local
+  /// index minus the tombstones before it: one prefix sum over the bitmap.
+  std::vector<WeightedEdge> TakeLiveSeed() {
+    std::vector<WeightedEdge> seed = TakeEmstSeed();
+    if (seed.empty()) return seed;
+    std::vector<uint32_t> rank(pts_.size());
+    ParallelFor(0, rank.size(), [&](size_t i) { rank[i] = dead_[i] == 0; });
+    ScanExclusiveAdd(rank);
+    auto live_local = [&](uint32_t gid) {
+      uint32_t local = LocalOf(gid);
+      return local == kNotHere || dead_[local] ? kNotHere : rank[local];
+    };
+    ParallelFor(0, seed.size(), [&](size_t i) {
+      seed[i].u = live_local(seed[i].u);
+      seed[i].v = live_local(seed[i].v);
+    });
+    auto touches_dead = [](const WeightedEdge& e) {
+      return e.u == kNotHere || e.v == kNotHere;
+    };
+    seed.erase(std::remove_if(seed.begin(), seed.end(), touches_dead),
+               seed.end());
+    return seed;
+  }
+
   void EnsureLive() {
     if (dead_count_ == 0 || !live_pts_.empty()) return;
     live_pts_.reserve(live_count());
@@ -187,12 +257,16 @@ class Shard {
   std::vector<uint8_t> dead_;  ///< tombstone bitmap (1 byte per point)
   size_t dead_count_ = 0;
 
-  // Live-set artifacts, dropped on every tombstone.
+  // Live-set artifacts, dropped on every tombstone (the EMST moves to the
+  // repair seed instead).
   std::vector<Point<D>> live_pts_;
   std::vector<uint32_t> live_gids_;
   std::unique_ptr<KdTree<D>> tree_;
   std::vector<WeightedEdge> emst_;
   bool has_emst_ = false;
+  /// Gid-space MST edges of an earlier live set (a superset of the current
+  /// one), consumed by the next EmstEdges(). Never persisted.
+  std::vector<WeightedEdge> seed_;
 };
 
 }  // namespace parhc

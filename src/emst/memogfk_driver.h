@@ -95,18 +95,24 @@ void GetPairs(const KdTree<D>& t, const Sep& sep, const LbFn& lb,
 }
 
 /// Runs the MemoGFK round loop over `tree` and returns the MST edges.
-/// `initial_edges` (duplicate-leaf edges) are union'd in first.
+/// `mst_edges`, already known to lie in the MST, are union'd first, as
+/// given: a forest of MST edges needs no Kruskal sort. `initial_edges`
+/// (duplicate-leaf edges) follow through a sorted Kruskal batch; against
+/// them the order only picks which of several exchangeable zero-weight
+/// edges between identical points survives.
 template <int D, typename Sep, typename LbFn, typename UbFn, typename BccpFn>
-std::vector<WeightedEdge> MemoGfkMst(KdTree<D>& tree, const Sep& sep,
-                                     const LbFn& lb, const UbFn& ub,
-                                     const BccpFn& bccp,
-                                     std::vector<WeightedEdge> initial_edges,
-                                     PhaseBreakdown* phases = nullptr,
-                                     const MemoGfkOptions& opts = {}) {
+std::vector<WeightedEdge> MemoGfkMst(
+    KdTree<D>& tree, const Sep& sep, const LbFn& lb, const UbFn& ub,
+    const BccpFn& bccp, std::vector<WeightedEdge> initial_edges,
+    PhaseBreakdown* phases = nullptr, const MemoGfkOptions& opts = {},
+    const std::vector<WeightedEdge>& mst_edges = {}) {
   size_t n = tree.size();
   UnionFind uf(n);
   std::vector<WeightedEdge> out;
   out.reserve(n - 1);
+  for (const WeightedEdge& e : mst_edges) {
+    if (uf.Union(e.u, e.v)) out.push_back(e);
+  }
   KruskalBatch(initial_edges, uf, out);
 
   uint32_t beta = 2;

@@ -11,9 +11,18 @@ thread_local int Scheduler::tl_slot = -1;
 
 namespace {
 
-std::unique_ptr<Scheduler>& GlobalSchedulerSlot() {
-  static std::unique_ptr<Scheduler> slot;
-  return slot;
+// The singleton: `slot` owns it, `current` publishes it to the lock-free
+// fast path of Get(). First-use creation and Reset take `mu`, so two
+// threads racing into Get() on a fresh process build one scheduler.
+struct GlobalScheduler {
+  std::mutex mu;
+  std::unique_ptr<Scheduler> slot;
+  std::atomic<Scheduler*> current{nullptr};
+};
+
+GlobalScheduler& Global() {
+  static GlobalScheduler g;
+  return g;
 }
 
 int DefaultWorkerCount() {
@@ -28,24 +37,32 @@ int DefaultWorkerCount() {
 }  // namespace
 
 Scheduler& Scheduler::Get() {
-  auto& slot = GlobalSchedulerSlot();
-  if (!slot) slot.reset(new Scheduler(DefaultWorkerCount()));
-  return *slot;
+  GlobalScheduler& g = Global();
+  if (Scheduler* s = g.current.load(std::memory_order_acquire)) return *s;
+  std::lock_guard<std::mutex> lk(g.mu);
+  if (!g.slot) {
+    g.slot.reset(new Scheduler(DefaultWorkerCount()));
+    g.current.store(g.slot.get(), std::memory_order_release);
+  }
+  return *g.slot;
 }
 
 void Scheduler::Reset(int num_workers) {
   PARHC_CHECK(num_workers >= 1);
-  auto& slot = GlobalSchedulerSlot();
-  if (slot) {
+  GlobalScheduler& g = Global();
+  std::lock_guard<std::mutex> lk(g.mu);
+  if (g.slot) {
     PARHC_CHECK_MSG(
-        slot->external_active_.load(std::memory_order_acquire) == 0,
+        g.slot->external_active_.load(std::memory_order_acquire) == 0,
         "Scheduler::Reset while parallel work is in flight (a thread is "
         "inside ParDo/ParallelFor or TaskArena::Execute)");
-    PARHC_CHECK_MSG(slot->live_arenas_.load(std::memory_order_acquire) == 0,
+    PARHC_CHECK_MSG(g.slot->live_arenas_.load(std::memory_order_acquire) == 0,
                     "Scheduler::Reset while TaskArena objects are live");
   }
-  slot.reset();  // join old workers before spawning new ones
-  slot.reset(new Scheduler(num_workers));
+  g.current.store(nullptr, std::memory_order_release);
+  g.slot.reset();  // join old workers before spawning new ones
+  g.slot.reset(new Scheduler(num_workers));
+  g.current.store(g.slot.get(), std::memory_order_release);
 }
 
 Scheduler::Scheduler(int num_workers)

@@ -82,6 +82,7 @@ void EuclideanLeafScanBatched(const KdTree<D>& ta, const KdTree<D>& tb,
 template <int D>
 ClosestPair Bccp(const KdTree<D>& tree, uint32_t a, uint32_t b) {
   ClosestPair best;
+  uint64_t dists = 0;  // leaf-scan point pairs, published once per call
   auto boxdist = [&](uint32_t x, uint32_t y) {
     return tree.NodeBox(x).MinSquaredDistance(tree.NodeBox(y));
   };
@@ -92,10 +93,12 @@ ClosestPair Bccp(const KdTree<D>& tree, uint32_t a, uint32_t b) {
       },
       boxdist,
       [&](uint32_t x, uint32_t y) {
+        dists += uint64_t{tree.NodeSize(x)} * tree.NodeSize(y);
         auto gid = [&](uint32_t i) { return tree.id(i); };
         internal::EuclideanLeafScanBatched(tree, tree, x, y, gid, gid, best);
       });
   Stats::Get().bccp_computed.fetch_add(1, std::memory_order_relaxed);
+  Stats::Get().bccp_point_distances.fetch_add(dists, std::memory_order_relaxed);
   return best;
 }
 
@@ -105,6 +108,7 @@ template <int D>
 ClosestPair BccpStar(const KdTree<D>& tree, uint32_t a, uint32_t b) {
   PARHC_DCHECK(tree.has_core_dists());
   ClosestPair best;
+  uint64_t dists = 0;  // leaf-scan point pairs, published once per call
   DualMinTraverse(
       tree, a, b,
       [&](uint32_t x, uint32_t y) {
@@ -117,6 +121,7 @@ ClosestPair BccpStar(const KdTree<D>& tree, uint32_t a, uint32_t b) {
         return tree.NodeBox(x).MinSquaredDistance(tree.NodeBox(y));
       },
       [&](uint32_t x, uint32_t y) {
+        dists += uint64_t{tree.NodeSize(x)} * tree.NodeSize(y);
         internal::BccpLeafScan(
             tree, x, y,
             [&](uint32_t i, uint32_t j) {
@@ -127,6 +132,7 @@ ClosestPair BccpStar(const KdTree<D>& tree, uint32_t a, uint32_t b) {
             best);
       });
   Stats::Get().bccp_computed.fetch_add(1, std::memory_order_relaxed);
+  Stats::Get().bccp_point_distances.fetch_add(dists, std::memory_order_relaxed);
   return best;
 }
 

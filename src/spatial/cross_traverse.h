@@ -142,6 +142,7 @@ template <int D, typename IdA, typename IdB>
 ClosestPair CrossBccp(const KdTree<D>& ta, const KdTree<D>& tb, uint32_t a,
                       uint32_t b, const IdA& ida, const IdB& idb) {
   ClosestPair best;
+  uint64_t dists = 0;  // leaf-scan point pairs, published once per call
   auto boxdist = [&](uint32_t x, uint32_t y) {
     return ta.NodeBox(x).MinSquaredDistance(tb.NodeBox(y));
   };
@@ -152,11 +153,13 @@ ClosestPair CrossBccp(const KdTree<D>& ta, const KdTree<D>& tb, uint32_t a,
       },
       boxdist,
       [&](uint32_t x, uint32_t y) {
+        dists += uint64_t{ta.NodeSize(x)} * tb.NodeSize(y);
         internal::EuclideanLeafScanBatched(
             ta, tb, x, y, [&](uint32_t i) { return ida(ta.id(i)); },
             [&](uint32_t j) { return idb(tb.id(j)); }, best);
       });
   Stats::Get().bccp_computed.fetch_add(1, std::memory_order_relaxed);
+  Stats::Get().bccp_point_distances.fetch_add(dists, std::memory_order_relaxed);
   return best;
 }
 
@@ -169,6 +172,7 @@ ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
                           const IdB& idb) {
   PARHC_DCHECK(ta.has_core_dists() && tb.has_core_dists());
   ClosestPair best;
+  uint64_t dists = 0;  // leaf-scan point pairs, published once per call
   CrossDualMinTraverse(
       ta, tb, a, b,
       [&](uint32_t x, uint32_t y) {
@@ -181,6 +185,7 @@ ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
         return ta.NodeBox(x).MinSquaredDistance(tb.NodeBox(y));
       },
       [&](uint32_t x, uint32_t y) {
+        dists += uint64_t{ta.NodeSize(x)} * tb.NodeSize(y);
         internal::CrossBccpLeafScan(
             ta, tb, x, y,
             [&](uint32_t i, uint32_t j) {
@@ -190,6 +195,7 @@ ClosestPair CrossBccpStar(const KdTree<D>& ta, const KdTree<D>& tb,
             ida, idb, best);
       });
   Stats::Get().bccp_computed.fetch_add(1, std::memory_order_relaxed);
+  Stats::Get().bccp_point_distances.fetch_add(dists, std::memory_order_relaxed);
   return best;
 }
 

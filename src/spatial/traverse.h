@@ -39,61 +39,60 @@ constexpr uint32_t kDualSeqCutoff = 1024;
 // diameter is split (Algorithm 1 lines 8-9); a leaf cannot split, so the
 // traversal falls through to the other node.
 //
-// `count_visits` selects whether node-pair visits feed the
-// wspd_pairs_visited counter — pair-enumerating traversals (WSPD,
-// GetPairs) count, bound-only sweeps (GetRho) don't, matching how the
-// memory-ablation benchmarks have always defined the metric.
+// Returns the node pairs visited. Each task sums its own and the caller
+// publishes the total once (PublishVisits), so a sweep that prunes nearly
+// every pair is not dominated by contention on one shared counter.
 template <int D, typename Prune, typename Sep, typename Base>
-void DualTraversePair(const KdTree<D>& t, uint32_t a, uint32_t b,
-                      const Prune& prune, const Sep& sep, const Base& base,
-                      bool count_visits) {
-  if (count_visits) {
-    Stats::Get().wspd_pairs_visited.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (prune(a, b)) return;
+uint64_t DualTraversePair(const KdTree<D>& t, uint32_t a, uint32_t b,
+                          const Prune& prune, const Sep& sep,
+                          const Base& base) {
+  if (prune(a, b)) return 1;
   if (sep(a, b)) {
     base(a, b, /*separated=*/true);
-    return;
+    return 1;
   }
   uint32_t x = a, y = b;
   if (t.Diameter(x) < t.Diameter(y)) std::swap(x, y);
   if (t.IsLeaf(x)) std::swap(x, y);
   if (t.IsLeaf(x)) {
     base(a, b, /*separated=*/false);
-    return;
+    return 1;
   }
+  uint64_t l = 0, r = 0;
   if (t.NodeSize(x) + t.NodeSize(y) >= kDualSeqCutoff) {
-    ParDo(
-        [&] {
-          DualTraversePair(t, t.Left(x), y, prune, sep, base, count_visits);
-        },
-        [&] {
-          DualTraversePair(t, t.Right(x), y, prune, sep, base, count_visits);
-        });
+    ParDo([&] { l = DualTraversePair(t, t.Left(x), y, prune, sep, base); },
+          [&] { r = DualTraversePair(t, t.Right(x), y, prune, sep, base); });
   } else {
-    DualTraversePair(t, t.Left(x), y, prune, sep, base, count_visits);
-    DualTraversePair(t, t.Right(x), y, prune, sep, base, count_visits);
+    l = DualTraversePair(t, t.Left(x), y, prune, sep, base);
+    r = DualTraversePair(t, t.Right(x), y, prune, sep, base);
   }
+  return 1 + l + r;
 }
 
 template <int D, typename Prune, typename Sep, typename Base>
-void DualTraverseRec(const KdTree<D>& t, uint32_t node, const Prune& prune,
-                     const Sep& sep, const Base& base, bool count_visits) {
-  if (t.IsLeaf(node)) return;
+uint64_t DualTraverseRec(const KdTree<D>& t, uint32_t node, const Prune& prune,
+                         const Sep& sep, const Base& base) {
+  if (t.IsLeaf(node)) return 0;
+  uint64_t l = 0, r = 0;
   if (t.NodeSize(node) >= kDualSeqCutoff) {
-    ParDo(
-        [&] {
-          DualTraverseRec(t, t.Left(node), prune, sep, base, count_visits);
-        },
-        [&] {
-          DualTraverseRec(t, t.Right(node), prune, sep, base, count_visits);
-        });
+    ParDo([&] { l = DualTraverseRec(t, t.Left(node), prune, sep, base); },
+          [&] { r = DualTraverseRec(t, t.Right(node), prune, sep, base); });
   } else {
-    DualTraverseRec(t, t.Left(node), prune, sep, base, count_visits);
-    DualTraverseRec(t, t.Right(node), prune, sep, base, count_visits);
+    l = DualTraverseRec(t, t.Left(node), prune, sep, base);
+    r = DualTraverseRec(t, t.Right(node), prune, sep, base);
   }
-  DualTraversePair(t, t.Left(node), t.Right(node), prune, sep, base,
-                   count_visits);
+  uint64_t self =
+      DualTraversePair(t, t.Left(node), t.Right(node), prune, sep, base);
+  return l + r + self;
+}
+
+/// Adds a traversal's visit count to Stats wspd_pairs_visited when the
+/// traversal counts (see DualTraverse).
+inline void PublishVisits(uint64_t visits, bool count_visits) {
+  if (count_visits) {
+    Stats::Get().wspd_pairs_visited.fetch_add(visits,
+                                              std::memory_order_relaxed);
+  }
 }
 
 }  // namespace internal
@@ -112,7 +111,8 @@ void DualTraverseRec(const KdTree<D>& t, uint32_t node, const Prune& prune,
 template <int D, typename Prune, typename Sep, typename Base>
 void DualTraverse(const KdTree<D>& t, const Prune& prune, const Sep& sep,
                   const Base& base, bool count_visits = true) {
-  internal::DualTraverseRec(t, t.root(), prune, sep, base, count_visits);
+  internal::PublishVisits(
+      internal::DualTraverseRec(t, t.root(), prune, sep, base), count_visits);
 }
 
 /// Pruned dual descent from one node pair (same callbacks as DualTraverse).
@@ -120,7 +120,8 @@ template <int D, typename Prune, typename Sep, typename Base>
 void DualTraverseFrom(const KdTree<D>& t, uint32_t a, uint32_t b,
                       const Prune& prune, const Sep& sep, const Base& base,
                       bool count_visits = true) {
-  internal::DualTraversePair(t, a, b, prune, sep, base, count_visits);
+  internal::PublishVisits(internal::DualTraversePair(t, a, b, prune, sep, base),
+                          count_visits);
 }
 
 /// Sequential pruned dual descent toward a minimum (the BCCP family):

@@ -3,8 +3,11 @@
 // EMST / HDBSCAN* maintenance, cross-checked against from-scratch builds.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <random>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "hdbscan/hdbscan.h"
 #include "spatial/cross_traverse.h"
 #include "test_util.h"
+#include "util/stats.h"
 
 namespace parhc {
 namespace {
@@ -393,6 +397,211 @@ TEST(DynamicDuplicates, SplitAcrossBatchesHdbscanMatches) {
   EXPECT_EQ(SortedWeights(*r.mst), SortedWeights(direct.mst));
   double prim = test::PrimMutualReachabilityWeight(live, 5);
   EXPECT_NEAR(r.mst_weight, prim, 1e-9 * (1 + prim));
+}
+
+// --- Delete repair: shard EMSTs rebuilt from their surviving edges -------
+
+/// Forest EMST answer (dense endpoints; point_ids maps dense -> gid).
+template <int D>
+EngineResponse EmstAnswer(DynamicArtifacts<D>& dyn) {
+  EngineRequest req;
+  req.type = QueryType::kEmst;
+  EngineResponse r;
+  EXPECT_TRUE(dyn.Answer(req, /*allow_build=*/true, &r));
+  EXPECT_TRUE(r.ok) << r.error;
+  return r;
+}
+
+/// Gids of the highest-degree and of one degree-1 vertex of an EMST answer.
+std::pair<uint32_t, uint32_t> HubAndLeaf(const EngineResponse& r) {
+  std::vector<uint32_t> degree(r.point_ids->size(), 0);
+  for (const WeightedEdge& e : *r.mst) {
+    ++degree[e.u];
+    ++degree[e.v];
+  }
+  size_t hub = std::max_element(degree.begin(), degree.end()) - degree.begin();
+  size_t leaf = std::find(degree.begin(), degree.end(), 1u) - degree.begin();
+  return {(*r.point_ids)[hub], (*r.point_ids)[leaf]};
+}
+
+template <int D>
+void DeleteBoth(DynamicArtifacts<D>& dyn, Mirror<D>& mirror,
+                const std::vector<uint32_t>& gids) {
+  ASSERT_EQ(dyn.DeleteBatch(gids), gids.size());
+  for (uint32_t gid : gids) mirror.live[gid] = false;
+}
+
+TEST(DynamicRepair, HubThenLeafDelete) {
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = test::RandomPoints<2>(900, 71);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectEmstMatchesScratch(dyn, mirror);
+
+  // The hub splits the old tree into the most components; a leaf into one
+  // component plus a vanished singleton.
+  uint32_t hub = HubAndLeaf(EmstAnswer(dyn)).first;
+  DeleteBoth(dyn, mirror, {hub});
+  ExpectEmstMatchesScratch(dyn, mirror);
+  uint32_t leaf = HubAndLeaf(EmstAnswer(dyn)).second;
+  DeleteBoth(dyn, mirror, {leaf});
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicRepair, SeedCarriesAcrossDeleteBatches) {
+  std::mt19937_64 rng(29);
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = SeedSpreaderVarden<2>(1200, 73, 4);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectEmstMatchesScratch(dyn, mirror);
+  // Several tombstone batches, no EMST in between: the seed must shed the
+  // edges of every batch's victims before the one repair.
+  for (int batch = 0; batch < 4; ++batch) {
+    std::vector<uint32_t> victims;
+    for (int k = 0; k < 5; ++k) {
+      uint32_t gid = static_cast<uint32_t>(rng() % base.size());
+      if (mirror.live[gid] &&
+          std::find(victims.begin(), victims.end(), gid) == victims.end()) {
+        victims.push_back(gid);
+      }
+    }
+    DeleteBoth(dyn, mirror, victims);
+  }
+  ASSERT_EQ(dyn.num_shards(), size_t{1});
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicRepair, CompactionHandsSeedToSurvivorShard) {
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = test::RandomPoints<2>(400, 79);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectEmstMatchesScratch(dyn, mirror);
+  // 60 tombstones stay under the compaction threshold; 50 more push the
+  // shard past it, so its survivors move to a fresh shard with the seed.
+  std::vector<uint32_t> first, second;
+  for (uint32_t g = 0; g < 60; ++g) first.push_back(g * 3);
+  for (uint32_t g = 0; g < 50; ++g) second.push_back(g * 3 + 1);
+  DeleteBoth(dyn, mirror, first);
+  ASSERT_EQ(dyn.num_tombstones(), size_t{60});
+  DeleteBoth(dyn, mirror, second);
+  ASSERT_EQ(dyn.num_shards(), size_t{1});
+  ASSERT_EQ(dyn.num_tombstones(), size_t{0}) << "shard was not compacted";
+  // Without the handed-over seed the new shard would run the same
+  // from-scratch MemoGFK and materialize exactly as many pairs.
+  StatsEpoch repair;
+  EmstAnswer(dyn);
+  uint64_t repair_pairs = repair.Delta().wspd_pairs_materialized;
+  StatsEpoch scratch;
+  EmstMemoGfk(mirror.LivePoints());
+  EXPECT_LT(repair_pairs, scratch.Delta().wspd_pairs_materialized);
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicRepair, DeleteOneCopyOfCrossBatchDuplicateGroup) {
+  auto pts = test::DuplicatedPoints<2>(400, 83);
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  for (size_t off = 0; off < pts.size(); off += 100) {
+    std::vector<Point<2>> batch(pts.begin() + off, pts.begin() + off + 100);
+    mirror.Insert(batch);
+    dyn.InsertBatch(batch);
+  }
+  EmstAnswer(dyn);
+  // One copy from each of a few groups that span two batches.
+  std::vector<uint32_t> victims;
+  for (uint32_t g = 0; g < 100 && victims.size() < 4; ++g) {
+    for (uint32_t h = 100; h < pts.size(); ++h) {
+      if (pts[h][0] == pts[g][0] && pts[h][1] == pts[g][1]) {
+        victims.push_back(g);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(victims.size(), size_t{4});
+  DeleteBoth(dyn, mirror, victims);
+  // Zero-weight edges within a group are exchangeable (see
+  // DynamicDuplicates): compare the weight multiset.
+  EngineResponse r = EmstAnswer(dyn);
+  std::vector<WeightedEdge> scratch = EmstMemoGfk(mirror.LivePoints());
+  EXPECT_EQ(SortedWeights(*r.mst), SortedWeights(scratch));
+  double prim = test::PrimEmstWeight(mirror.LivePoints());
+  EXPECT_NEAR(r.mst_weight, prim, 1e-9 * (1 + prim));
+}
+
+TEST(DynamicRepair, SnapshotBetweenDeleteAndEmst) {
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = test::RandomPoints<2>(600, 89);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  auto batch = test::RandomPoints<2>(70, 90);
+  mirror.Insert(batch);
+  dyn.InsertBatch(batch);
+  ExpectEmstMatchesScratch(dyn, mirror);
+  DeleteBoth(dyn, mirror, {3, 250, 611});
+
+  // The seed is not persisted: the reloaded shards rebuild from scratch.
+  namespace fs = std::filesystem;
+  fs::path dir = fs::path(::testing::TempDir()) / "parhc_dynamic_repair_";
+  dir += std::to_string(::getpid());
+  fs::remove_all(dir);
+  dyn.SaveTo(dir.string());
+  DynamicArtifacts<2> loaded;
+  loaded.LoadFrom(dir.string());
+  fs::remove_all(dir);
+  ExpectEmstMatchesScratch(loaded, mirror);
+  // The saved forest still repairs from its own seed.
+  ExpectEmstMatchesScratch(dyn, mirror);
+  // The loaded forest repairs its next delete like any other.
+  ASSERT_EQ(loaded.DeleteBatch({400}), size_t{1});
+  DeleteBoth(dyn, mirror, {400});
+  ExpectEmstMatchesScratch(loaded, mirror);
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicRepair, SimdDimensionForest) {
+  static_assert(8 >= kSimdMinDim, "forest must run the dispatched kernels");
+  DynamicArtifacts<8> dyn;
+  Mirror<8> mirror;
+  auto base = test::RandomPoints<8>(700, 97);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  auto batch = test::RandomPoints<8>(90, 98);
+  mirror.Insert(batch);
+  dyn.InsertBatch(batch);
+  ExpectEmstMatchesScratch(dyn, mirror);
+  uint32_t hub = HubAndLeaf(EmstAnswer(dyn)).first;
+  std::vector<uint32_t> victims = {hub};
+  for (uint32_t gid : {5u, 701u}) {  // one more per shard
+    if (gid != hub) victims.push_back(gid);
+  }
+  DeleteBoth(dyn, mirror, victims);
+  ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+TEST(DynamicRepair, RepairMaterializesFarFewerPairsThanScratch) {
+  DynamicArtifacts<2> dyn;
+  Mirror<2> mirror;
+  auto base = SeedSpreaderVarden<2>(4000, 101, 5);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  EmstAnswer(dyn);
+  DeleteBoth(dyn, mirror, {17, 1234, 3210});
+
+  StatsEpoch repair;
+  EmstAnswer(dyn);
+  uint64_t repair_pairs = repair.Delta().wspd_pairs_materialized;
+  StatsEpoch scratch;
+  EmstMemoGfk(mirror.LivePoints());
+  uint64_t scratch_pairs = scratch.Delta().wspd_pairs_materialized;
+  EXPECT_LT(repair_pairs * 10, scratch_pairs)
+      << "repair " << repair_pairs << " vs scratch " << scratch_pairs;
+  ExpectEmstMatchesScratch(dyn, mirror);
 }
 
 // --- Engine integration: shard-aware invalidation ------------------------

@@ -13,6 +13,7 @@
 #include "spatial/traverse.h"
 #include "spatial/wspd.h"
 #include "test_util.h"
+#include "util/stats.h"
 
 namespace parhc {
 namespace {
@@ -197,6 +198,21 @@ TEST(Bccp, DeepNodePairsMatchBruteForce) {
   uint32_t b = tree.Right(tree.Right(tree.root()));
   EXPECT_DOUBLE_EQ(Bccp(tree, a, b).dist,
                    BruteBccp(pts, NodeIds(tree, a), NodeIds(tree, b)).dist);
+}
+
+TEST(Bccp, CountsLeafScanPointDistances) {
+  auto pts = RandomPoints<2>(800, 5);
+  KdTree<2> tree(pts, 1);
+  uint32_t a = tree.Left(tree.root());
+  uint32_t b = tree.Right(tree.root());
+  StatsEpoch epoch;
+  Bccp(tree, a, b);
+  AlgoCounterSnapshot d = epoch.Delta();
+  EXPECT_EQ(d.bccp_computed, 1u);
+  // The pruned descent scans some leaf pairs, never more than |A| * |B|.
+  EXPECT_GT(d.bccp_point_distances, 0u);
+  EXPECT_LE(d.bccp_point_distances,
+            uint64_t{tree.NodeSize(a)} * tree.NodeSize(b));
 }
 
 TEST(BccpStar, MatchesBruteForceMutualReachability) {
