@@ -16,12 +16,28 @@
 //                              weight, in [1, 1+eps];
 //                              `cross_pruned` — cross pairs settled by the
 //                              eps shortcut (> 0 shows the knob engages).
+//   PartKernel/d:{2,8,16,64}/n:{256..16384}
+//                              the per-part kernel crossover: DenseMst vs
+//                              the kd-tree kernel (MemoGFK, and
+//                              HDBSCAN*-MemoGFK at minPts 16) on the same
+//                              part, tree and core distances built outside
+//                              the timer. `speedup` / `mr_speedup` are
+//                              kd-tree over dense time; `identical` pins
+//                              the Euclidean edge set and `mr_identical`
+//                              the MR weight multiset. The selector table
+//                              in emst/dense_mst.h is copied from these
+//                              rows; d:64/n:1024 carries a `speedup` floor.
+//                              Rows run up to PARHC_N (all of them with
+//                              PARHC_N=16384 --benchmark_filter=PartKernel).
 //
 // CI runs the low-N smoke via the bench_highdim_smoke target, emitting
 // BENCH_highdim_emst.json.
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "bench_common.h"
+#include "emst/dense_mst.h"
 
 namespace parhc_bench {
 namespace {
@@ -137,6 +153,79 @@ void RunHighDimEmst(benchmark::State& st, size_t n) {
   st.counters["cpu_features"] = CpuFeaturesCounter();
 }
 
+/// Best-of wall time of `f`, repeated until ~50 ms have been spent, so the
+/// small-n rows are not single-shot timer noise.
+template <typename F>
+double BestSeconds(const F& f) {
+  double best = 1e30, spent = 0;
+  do {
+    Timer t;
+    f();
+    double s = t.Seconds();
+    best = std::min(best, s);
+    spent += s;
+  } while (spent < 0.05);
+  return best;
+}
+
+std::vector<double> SortedWeights(const std::vector<WeightedEdge>& edges) {
+  std::vector<double> w;
+  for (const auto& e : edges) w.push_back(e.w);
+  std::sort(w.begin(), w.end());
+  return w;
+}
+
+/// Dense vs kd-tree kernel on one part of n points (see the file header).
+template <int D>
+void RunPartKernel(benchmark::State& st, size_t n) {
+  std::vector<Point<D>> pts;
+  if constexpr (D < kSimdMinDim) {
+    pts = SeedSpreaderVarden<D>(n, 1);
+  } else {
+    pts = GaussianEmbeddings<D>(n, 1);
+  }
+  constexpr int kMinPts = 16;
+  for (auto _ : st) {
+    KdTree<D> tree(pts, /*leaf_size=*/1);
+    std::vector<double> core = CoreDistances(tree, kMinPts);
+    std::vector<WeightedEdge> kd, dense, mr_kd, mr_dense;
+    double kd_secs = BestSeconds([&] { kd = EmstMemoGfkOnTree(tree); });
+    double dense_secs =
+        BestSeconds([&] { dense = DenseMst(pts.data(), pts.size()); });
+    double mr_kd_secs =
+        BestSeconds([&] { mr_kd = HdbscanMstOnTree(tree, core); });
+    double mr_dense_secs = BestSeconds(
+        [&] { mr_dense = DenseMst(pts.data(), pts.size(), core.data()); });
+    st.counters["kdtree_secs"] = kd_secs;
+    st.counters["dense_secs"] = dense_secs;
+    st.counters["speedup"] = kd_secs / dense_secs;
+    st.counters["mr_kdtree_secs"] = mr_kd_secs;
+    st.counters["mr_dense_secs"] = mr_dense_secs;
+    st.counters["mr_speedup"] = mr_kd_secs / mr_dense_secs;
+    st.counters["identical"] =
+        Normalized(kd) == Normalized(dense) ? 1.0 : 0.0;
+    st.counters["mr_identical"] =
+        SortedWeights(mr_kd) == SortedWeights(mr_dense) ? 1.0 : 0.0;
+  }
+  st.counters["n"] = static_cast<double>(n);
+  st.counters["dim"] = D;
+  st.counters["dense_selected"] =
+      PartMstKernel(n, D) == PartKernel::kDense ? 1.0 : 0.0;
+  st.counters["cpu_features"] = CpuFeaturesCounter();
+}
+
+template <int D>
+void RegisterPartKernelRows(size_t max_n) {
+  for (size_t n = 256; n <= std::min<size_t>(max_n, 16384); n *= 2) {
+    benchmark::RegisterBenchmark(
+        ("PartKernel/d:" + std::to_string(D) + "/n:" + std::to_string(n))
+            .c_str(),
+        [=](benchmark::State& st) { RunPartKernel<D>(st, n); })
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(EnvIters());
+  }
+}
+
 void RegisterAll() {
   size_t n = EnvN(6000);
   benchmark::RegisterBenchmark("HighDimKernel/d:64", RunKernel<64>)
@@ -157,6 +246,10 @@ void RegisterAll() {
       })
       ->Unit(benchmark::kMillisecond)
       ->Iterations(EnvIters());
+  RegisterPartKernelRows<2>(n);
+  RegisterPartKernelRows<8>(n);
+  RegisterPartKernelRows<16>(n);
+  RegisterPartKernelRows<64>(n);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -84,6 +85,14 @@ PointsBinHeader OpenPointsBin(std::ifstream& in, const std::string& path) {
   return h;
 }
 
+void RequireFinite(const double* v, size_t n, const std::string& where) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(v[i])) {
+      throw std::runtime_error(where + ": non-finite coordinate");
+    }
+  }
+}
+
 }  // namespace internal
 
 PointsBinHeader ReadPointsBinHeader(const std::string& path) {
@@ -102,6 +111,8 @@ std::vector<std::vector<double>> ReadPointsBin(const std::string& path) {
     if (!in.good()) {
       throw std::runtime_error(path + ": binary point file truncated");
     }
+    internal::RequireFinite(row.data(), row.size(),
+                            path + " row " + std::to_string(i));
     rows[i].assign(row.begin(), row.end());
   }
   return rows;
@@ -112,13 +123,17 @@ std::vector<std::vector<double>> ReadPointsCsv(const std::string& path) {
   PARHC_CHECK_MSG(in.good(), "cannot open input file");
   std::vector<std::vector<double>> rows;
   std::string line;
+  size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     std::vector<double> row;
     std::stringstream ss(line);
     std::string cell;
     while (std::getline(ss, cell, ',')) {
       row.push_back(std::stod(cell));
+      internal::RequireFinite(&row.back(), 1,
+                              path + " line " + std::to_string(line_no));
     }
     if (!row.empty()) rows.push_back(std::move(row));
   }

@@ -7,10 +7,12 @@
 //   uint64 count
 //   count * dim doubles (native little-endian byte order)
 //
-// The binary *readers* throw std::runtime_error on unreadable, malformed,
-// truncated, or wrong-dimension files — bad input data is a serving-path
-// error the caller reports, not a program invariant (PARHC_CHECK remains
-// for programmer errors like ragged rows passed to a writer).
+// The *readers* throw std::runtime_error on non-finite coordinates (NaN
+// or +-Inf: no exact MST kernel is defined over them), and the binary
+// readers also on unreadable, malformed, truncated, or wrong-dimension
+// files — bad input data is a serving-path error the caller reports, not
+// a program invariant (PARHC_CHECK remains for programmer errors like
+// ragged rows passed to a writer).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,7 @@ void WritePointsCsv(const std::string& path,
                     const std::vector<std::vector<double>>& rows);
 
 /// Reads a CSV of doubles; returns rows. Blank lines and lines starting
-/// with '#' are skipped.
+/// with '#' are skipped. Throws on a cell that is not a finite number.
 std::vector<std::vector<double>> ReadPointsCsv(const std::string& path);
 
 /// "PHCB" little-endian.
@@ -87,6 +89,9 @@ void WritePointsBinStream(const std::string& path, uint32_t dim,
 /// size matches dim * count doubles), and leaves the stream positioned at
 /// the first coordinate. Throws std::runtime_error on any problem.
 PointsBinHeader OpenPointsBin(std::ifstream& in, const std::string& path);
+/// Throws std::runtime_error naming `where` (file and line or row) if any
+/// of v[0, n) is NaN or +-Inf.
+void RequireFinite(const double* v, size_t n, const std::string& where);
 }  // namespace internal
 
 template <int D>
@@ -120,6 +125,10 @@ std::vector<Point<D>> ReadPointsBinAs(const std::string& path) {
           static_cast<std::streamsize>(h.count * sizeof(Point<D>)));
   if (!in.good() && h.count > 0) {
     throw std::runtime_error(path + ": binary point file truncated");
+  }
+  for (size_t i = 0; i < pts.size(); ++i) {
+    internal::RequireFinite(pts[i].x.data(), D,
+                            path + " row " + std::to_string(i));
   }
   return pts;
 }

@@ -65,7 +65,7 @@
 #include "engine/answer.h"
 #include "engine/artifact_util.h"
 #include "engine/request.h"
-#include "hdbscan/hdbscan_mst.h"
+#include "emst/part_mst.h"
 #include "spatial/cross_traverse.h"
 #include "spatial/knn.h"
 #include "spatial/wspd.h"
@@ -650,28 +650,34 @@ class DynamicArtifacts {
   }
 
   /// The forest's exact MR-MST under dense core distances `core`, with
-  /// dense endpoints: per-shard MR-MSTs (annotating every shard tree with
-  /// the global core distances, which the cross BCCP* pass then reads)
-  /// plus cross BCCP* candidates, merged by Kruskal. Needs live points.
+  /// dense endpoints: per-shard MR-MSTs (PartMst) plus cross BCCP*
+  /// candidates, merged by Kruskal. Needs live points.
   std::vector<WeightedEdge> ForestMrMst(const std::vector<double>& core) {
     EnsureDense();
     std::vector<WeightedEdge> candidates;
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
+    const size_t shards = forest_.num_shards();
+    for (size_t i = 0; i < shards; ++i) {
       Shard<D>& s = forest_.shard(i);
       const std::vector<uint32_t>& lg = s.live_gids();
       std::vector<double> cd_local(lg.size());
       for (size_t l = 0; l < lg.size(); ++l) {
         cd_local[l] = core[DenseOf(lg[l])];
       }
-      std::vector<WeightedEdge> edges = HdbscanMstOnTree(s.tree(), cd_local);
+      std::vector<WeightedEdge> edges =
+          PartMst(s.live_points(), &cd_local,
+                  [&]() -> KdTree<D>& { return s.tree(); });
       for (WeightedEdge& e : edges) {
         e.u = lg[e.u];
         e.v = lg[e.v];
       }
       candidates.insert(candidates.end(), edges.begin(), edges.end());
+      // The cross BCCP* pass reads every shard tree's core distances.
+      // Write this epoch's here, whichever kernel built the part MST:
+      // an annotation left by an earlier build would be stale.
+      if (shards > 1) s.tree().AnnotateCoreDistances(cd_local);
     }
-    for (size_t i = 0; i < forest_.num_shards(); ++i) {
-      for (size_t j = i + 1; j < forest_.num_shards(); ++j) {
+    for (size_t i = 0; i < shards; ++i) {
+      for (size_t j = i + 1; j < shards; ++j) {
         std::vector<WeightedEdge> edges =
             CrossHdbscanCandidates(forest_.shard(i), forest_.shard(j));
         candidates.insert(candidates.end(), edges.begin(), edges.end());

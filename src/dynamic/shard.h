@@ -5,12 +5,15 @@
 // what every derived artifact is defined over: a flat kd-tree arena built
 // with the existing arena builder, and the shard's Euclidean MST edge list
 // in global-id space. Both are built lazily and cached until the live set
-// changes. A tombstone drops the tree (the GPU single-tree EMST line of
-// work, Prokopenko et al. arXiv:2207.00514, motivates keeping each shard a
-// static flat arena rather than mutating the tree in place) but keeps the
-// EMST as a repair seed: every seed edge whose endpoints both survive is
-// still an MST edge, so the next EmstEdges() runs MemoGFK with those edges
-// already unioned and only searches the cut the deleted points opened.
+// changes. The EMST comes from PartMst (emst/part_mst.h), the dense Prim
+// kernel or MemoGFK on the shard tree, whichever was measured cheaper for
+// the shard's size and dimension. A tombstone drops the tree (the GPU
+// single-tree EMST line of work, Prokopenko et al. arXiv:2207.00514,
+// motivates keeping each shard a static flat arena rather than mutating
+// the tree in place) but keeps the EMST as a repair seed: every seed edge
+// whose endpoints both survive is still an MST edge, so the next
+// EmstEdges() can run MemoGFK with those edges already unioned and search
+// only the cuts the deleted points opened.
 //
 // Identity is two-level:
 //  * `uid`        — stable for the lifetime of the shard object; the
@@ -34,7 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "emst/emst_memogfk.h"
+#include "emst/part_mst.h"
 #include "graph/edge.h"
 #include "parallel/primitives.h"
 #include "spatial/kdtree.h"
@@ -166,11 +169,21 @@ class Shard {
   }
 
   /// The shard's exact EMST over its live points, edges in global-id space,
-  /// built on first use via MemoGFK on the shard tree — seeded with the
-  /// surviving repair-seed edges after a delete.
+  /// built on first use by PartMst. After a delete, MemoGFK on the shard
+  /// tree seeded with the surviving repair-seed edges runs instead wherever
+  /// it is cheaper: always where PartMst would pick the kd-tree kernel, and
+  /// over the dense kernel while the seed leaves few components.
   const std::vector<WeightedEdge>& EmstEdges() {
     if (!has_emst_) {
-      emst_ = EmstMemoGfkOnTree(tree(), nullptr, {}, TakeLiveSeed());
+      std::vector<WeightedEdge> seed = TakeLiveSeed();
+      const size_t components = live_count() - seed.size();
+      bool repair =
+          !seed.empty() &&
+          (components <= kRepairBeatsDenseComponents ||
+           PartMstKernel(live_count(), D) == PartKernel::kKdTree);
+      emst_ = repair ? EmstMemoGfkOnTree(tree(), nullptr, {}, seed)
+                     : PartMst(live_points(), nullptr,
+                               [this]() -> KdTree<D>& { return tree(); });
       const std::vector<uint32_t>& lg = live_gids();
       for (WeightedEdge& e : emst_) {
         e.u = lg[e.u];
@@ -196,6 +209,13 @@ class Shard {
 
  private:
   static constexpr uint32_t kNotHere = std::numeric_limits<uint32_t>::max();
+
+  /// Most seed components at which the seeded repair (tree build included)
+  /// still beat DenseMst: on 64-d GaussianEmbeddings shards of 1024 points
+  /// it ran 1.8-5.2 ms against 5.6-7.4 ms dense up to 9 components, 8.2 ms
+  /// at 10 and 99 ms at 17, since every component boundary is a cut the
+  /// traversals must search with boxes that barely prune in 64-d.
+  static constexpr size_t kRepairBeatsDenseComponents = 8;
 
   /// Local index of `gid`, or kNotHere. Gids are distinct ascending
   /// integers, so gids_[i] >= gids_[0] + i and gids_[i] <= gids_.back() -

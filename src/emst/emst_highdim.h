@@ -10,10 +10,13 @@
 //
 // where the cross candidates are the BCCP edges of an s=2 well-separated
 // decomposition between each pair of partition trees. Kruskal over that
-// candidate set reproduces the exact EMST for *any* partition, so the
-// k-means partitioning is purely a performance choice: it groups nearby
-// points so the per-partition MemoGFK runs see compact trees and the cross
-// passes see mostly far-apart (cheaply separable) node pairs.
+// candidate set reproduces the exact EMST for *any* partition and any
+// exact per-partition MST, so both choices are performance choices: the
+// k-means partitioning groups nearby points so the cross passes see mostly
+// far-apart (cheaply separable) node pairs, and each partition's MST comes
+// from PartMst (emst/part_mst.h) — the dense Prim kernel where it was
+// measured cheaper than MemoGFK, which at embedding dimensions is every
+// partition of up to several thousand points.
 //
 // The `eps` knob (Jayaram et al. 2023-style pruning, arXiv:2304.01434): a
 // well-separated cross pair whose box bounds already agree to within
@@ -39,9 +42,10 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "emst/emst_memogfk.h"
+#include "emst/part_mst.h"
 #include "geometry/distance.h"
 #include "graph/kruskal.h"
 #include "parallel/primitives.h"
@@ -186,7 +190,8 @@ void CrossPartitionCandidates(const KdTree<D>& ta, const KdTree<D>& tb,
 
 /// EMST (exact for eps = 0, (1+eps)-weight otherwise) over the k-means
 /// distance decomposition. Point ids in the returned edges are input
-/// indices. Small inputs fall back to a single MemoGFK tree.
+/// indices. Small inputs skip the partitioning: one PartMst over all
+/// points.
 template <int D>
 std::vector<WeightedEdge> HighDimEmst(const std::vector<Point<D>>& pts,
                                       const HighDimEmstOptions& opts = {},
@@ -204,8 +209,11 @@ std::vector<WeightedEdge> HighDimEmst(const std::vector<Point<D>>& pts,
   parts = static_cast<int>(std::min<size_t>(parts, n));
   if (parts <= 1) {
     info->partitions = 1;
-    KdTree<D> tree(pts, /*leaf_size=*/1);
-    std::vector<WeightedEdge> mst = EmstMemoGfkOnTree(tree);
+    std::optional<KdTree<D>> tree;
+    std::vector<WeightedEdge> mst =
+        PartMst(pts, nullptr, [&]() -> KdTree<D>& {
+          return tree.emplace(pts, /*leaf_size=*/1);
+        });
     info->candidate_edges = mst.size();
     return mst;
   }
@@ -232,12 +240,14 @@ std::vector<WeightedEdge> HighDimEmst(const std::vector<Point<D>>& pts,
   gids.resize(np);
   info->partitions = static_cast<int>(np);
 
-  // Per-partition exact MSTs (MemoGFK; inner algorithms parallelize).
+  // Per-partition exact MSTs (the PartMst kernel; inner algorithms
+  // parallelize). The trees serve the cross passes either way.
   std::vector<WeightedEdge> candidates;
   std::vector<std::unique_ptr<KdTree<D>>> trees(np);
   for (size_t p = 0; p < np; ++p) {
     trees[p] = std::make_unique<KdTree<D>>(ppts[p], /*leaf_size=*/1);
-    std::vector<WeightedEdge> mst = EmstMemoGfkOnTree(*trees[p]);
+    std::vector<WeightedEdge> mst =
+        PartMst(ppts[p], nullptr, [&]() -> KdTree<D>& { return *trees[p]; });
     for (const WeightedEdge& e : mst) {
       candidates.push_back({gids[p][e.u], gids[p][e.v], e.w});
     }

@@ -66,8 +66,8 @@
 // build ever runs per node. Independent nodes (different datasets'
 // artifacts trivially, and e.g. dendro@3 vs mst@5 of one dataset) build
 // concurrently. The one cross-node constraint: MST-family builds
-// (HdbscanMstOnTree / EmstMemoGfkOnTree) rewrite the kd-tree's annotation
-// arrays (core-distance + component fields), so they serialize on
+// (PartMst, when it selects the kd-tree kernel) rewrite the kd-tree's
+// annotation arrays (core-distance + component fields), so they serialize on
 // `tree_annot_mu_`; kNN search and snapshot writes read only the tree's
 // geometry and proceed concurrently. Answer(allow_build = false) is the
 // read-only path: it never blocks on a build (a node mid-build reads as
@@ -91,11 +91,10 @@
 
 #include "dendrogram/reachability.h"
 #include "emst/emst_highdim.h"
-#include "emst/emst_memogfk.h"
+#include "emst/part_mst.h"
 #include "engine/answer.h"
 #include "engine/artifact_util.h"
 #include "engine/request.h"
-#include "hdbscan/hdbscan_mst.h"
 #include "obs/trace.h"
 #include "spatial/knn.h"
 #include "store/artifact_io.h"
@@ -487,7 +486,7 @@ class DatasetArtifacts {
         // MST builds rewrite the shared tree's annotation arrays.
         std::lock_guard<std::mutex> annot(tree_annot_mu_);
         e->mst = std::make_shared<const std::vector<WeightedEdge>>(
-            HdbscanMstOnTree(*tree, *cd));
+            PartMst(pts_, cd.get(), [&]() -> KdTree<D>& { return *tree; }));
       }
       e->mst_weight = TotalWeight(*e->mst);
       Trace(out, /*built=*/true, "mst" + suffix);
@@ -642,7 +641,7 @@ class DatasetArtifacts {
         // EMST builds rewrite the shared tree's annotation arrays.
         std::lock_guard<std::mutex> annot(tree_annot_mu_);
         mst = std::make_shared<const std::vector<WeightedEdge>>(
-            EmstMemoGfkOnTree(*tree));
+            PartMst(pts_, nullptr, [&]() -> KdTree<D>& { return *tree; }));
       }
       {
         std::lock_guard<std::mutex> lk(state_mu_);

@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
@@ -186,16 +187,20 @@ class ClusteringEngine {
 
   /// Inserts one batch of rows into the batch-dynamic dataset `name`.
   /// Returns "" on success (setting *first_gid to the batch's first global
-  /// id), else an error message. Thread-safe.
+  /// id), else an error message; a NaN or +-Inf coordinate rejects the
+  /// whole batch before anything is stored. Thread-safe.
   std::string InsertBatch(const std::string& name,
                           const std::vector<std::vector<double>>& rows,
                           uint32_t* first_gid = nullptr) {
     std::shared_ptr<DatasetEntryBase> entry = registry_.Find(name);
     if (!entry) return "unknown dataset: " + name;
-    std::string err = executor_.RunBuild([&] {
-      std::unique_lock<std::shared_mutex> write(entry->mu);
-      return entry->InsertRows(rows, first_gid);
-    });
+    std::string err = NonFiniteRow(rows);
+    if (err.empty()) {
+      err = executor_.RunBuild([&] {
+        std::unique_lock<std::shared_mutex> write(entry->mu);
+        return entry->InsertRows(rows, first_gid);
+      });
+    }
     CountMutation(err);
     return err;
   }
@@ -416,6 +421,20 @@ class ClusteringEngine {
             std::chrono::system_clock::now().time_since_epoch())
             .count(),
         std::memory_order_relaxed);
+  }
+
+  /// "" if every coordinate is finite, else an error naming the first
+  /// offending row.
+  static std::string NonFiniteRow(
+      const std::vector<std::vector<double>>& rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (double v : rows[i]) {
+        if (!std::isfinite(v)) {
+          return "non-finite coordinate in row " + std::to_string(i);
+        }
+      }
+    }
+    return "";
   }
 
   void CountMutation(const std::string& err) {

@@ -8,8 +8,8 @@
 //    kNN heap accumulates — so the router can merge per-worker rows (the k
 //    smallest of a union is the merge of the parts' k smallest) and take
 //    sqrt once, exactly like CoreDist does locally.
-//  * MrMst runs the same HdbscanMstOnTree kernel the single-node HDBSCAN*
-//    path runs, under externally supplied *global* core distances; by the
+//  * MrMst runs the same PartMst entry point the single-node HDBSCAN*
+//    paths run, under externally supplied *global* core distances; by the
 //    distance-decomposition rule the union of per-part MR-MSTs plus
 //    cross-part BCCP* edges contains the MR-MST of the union.
 #pragma once
@@ -17,10 +17,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
+#include "emst/part_mst.h"
 #include "graph/edge.h"
-#include "hdbscan/hdbscan_mst.h"
 #include "parallel/scheduler.h"
 #include "spatial/knn.h"
 
@@ -81,9 +82,10 @@ std::vector<double> KnnRows(const std::vector<Point<D>>& data,
 template <int D>
 std::vector<WeightedEdge> MrMst(const std::vector<Point<D>>& pts,
                                 const std::vector<double>& core) {
-  if (pts.size() < 2) return {};
-  KdTree<D> tree(pts, /*leaf_size=*/1);
-  return HdbscanMstOnTree(tree, core);
+  std::optional<KdTree<D>> tree;
+  return PartMst(pts, &core, [&]() -> KdTree<D>& {
+    return tree.emplace(pts, /*leaf_size=*/1);
+  });
 }
 
 }  // namespace engine_export

@@ -2,7 +2,11 @@
 //
 // Test oracle: exact MSTs of the Euclidean and mutual-reachability complete
 // graphs, plus the Prim traversal order that defines the reachability plot
-// (paper Section 2.1). Sequential by design.
+// (paper Section 2.1). Sequential by design, with a weight callback per
+// pair and first-smallest-index selection. The production dense kernel is
+// DenseMst (emst/dense_mst.h): batched distance tiles, the WeightedEdge tie
+// order and per-worker scan blocks; this one stays separate so the tests
+// check that kernel against an independent implementation.
 #pragma once
 
 #include <cstdint>

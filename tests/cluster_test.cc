@@ -397,6 +397,46 @@ TEST(Router, ShardedAnswersBitMatchSingleNodeAcrossMutationsAndRestart) {
   EXPECT_EQ(Ask(router, "drop s"), ref.HandleLine("drop s").out);
 }
 
+// At d = 64 every worker slice and every single-node shard takes the
+// dense part-MST kernel; the merged answers must still match byte for
+// byte (modulo the artifact keys).
+TEST(Router, ShardedAnswersBitMatchSingleNodeAtD64) {
+  Worker w1, w2;
+  Router router({w1.addr(), w2.addr()}, NoHealth());
+  ASSERT_EQ(router.Start(), "");
+  ClusteringEngine ref_engine;
+  net::ProtocolSession ref(ref_engine, NoTiming());
+  Oracle oracle(router, ref);
+  oracle.Check("dyn e 64");
+  std::mt19937 rng(64);
+  std::set<uint32_t> live;
+  uint32_t next_gid = 0;
+  for (int round = 0; round < 4; ++round) {
+    size_t n = 60 + static_cast<size_t>(rng() % 60);
+    oracle.Check("geninsert e 64 embed " + std::to_string(n) + " " +
+                 std::to_string(round + 11));
+    for (size_t i = 0; i < n; ++i) live.insert(next_gid++);
+    if (round > 0) {
+      std::string line = "delete e";
+      for (size_t k = 0; k < 3; ++k) {
+        auto it = live.begin();
+        std::advance(it, rng() % live.size());
+        line += ' ' + std::to_string(*it);
+        live.erase(it);
+      }
+      oracle.Check(line);
+    }
+    int m = 3 + static_cast<int>(rng() % 6);
+    oracle.Check("emst e");
+    oracle.Check("slink e 3");
+    oracle.Check("hdbscan e " + std::to_string(m));
+    oracle.Check("clusters e " + std::to_string(m) + " 5");
+    oracle.Check("reach e " + std::to_string(m));
+    CheckLabelsFrame(router, ref_engine, "e", m, 2.0);
+  }
+  EXPECT_EQ(Ask(router, "drop e"), ref.HandleLine("drop e").out);
+}
+
 TEST(Router, ShardedSaveLoadServesWarmAcrossRouterRestart) {
   Worker w1, w2;
   std::string snap_dir = ::testing::TempDir() + "/cluster_reload_snap";

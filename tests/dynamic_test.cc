@@ -24,28 +24,13 @@
 namespace parhc {
 namespace {
 
+using test::NormalizedLabels;
 using test::RowsFrom;
 using test::SortedWeights;
 
 std::vector<WeightedEdge> Sorted(std::vector<WeightedEdge> edges) {
   std::sort(edges.begin(), edges.end());
   return edges;
-}
-
-/// Renumbers cluster labels by first occurrence so two labelings of the
-/// same partition compare equal (label ids are "dense but arbitrary").
-std::vector<int32_t> NormalizedLabels(const std::vector<int32_t>& in) {
-  std::vector<int32_t> out(in.size());
-  std::map<int32_t, int32_t> remap;
-  for (size_t i = 0; i < in.size(); ++i) {
-    if (in[i] < 0) {
-      out[i] = in[i];
-      continue;
-    }
-    out[i] =
-        remap.emplace(in[i], static_cast<int32_t>(remap.size())).first->second;
-  }
-  return out;
 }
 
 // --- Cross-tree traversals ----------------------------------------------
@@ -346,6 +331,42 @@ TEST(DynamicOracle, HigherDimensionalForest) {
   ExpectHdbscanMatchesScratch(dyn, mirror, 6);
 }
 
+// Embedding dimension: every shard takes the dense part-MST kernel, so the
+// cross BCCP* pass reads only the core distances ForestMrMst annotates
+// (two minPts per epoch catch an annotation left from the other one).
+TEST(DynamicOracle, EmbeddingDimensionForest) {
+  static_assert(PartMstKernel(600, 64) == PartKernel::kDense);
+  std::mt19937_64 rng(29);
+  DynamicArtifacts<64> dyn;
+  Mirror<64> mirror;
+  auto base = GaussianEmbeddings<64>(400, 61);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ExpectEmstMatchesScratch(dyn, mirror);
+  ExpectHdbscanMatchesScratch(dyn, mirror, 8);
+  for (int round = 0; round < 4; ++round) {
+    if (round == 1 || round == 3) {
+      // A few deletes (seeded repair) then a tenth (dense rebuild).
+      std::vector<uint32_t> victims;
+      for (uint32_t gid = 0; gid < mirror.pts.size(); ++gid) {
+        if (mirror.live[gid] && rng() % (round == 1 ? 150 : 10) == 0) {
+          victims.push_back(gid);
+        }
+      }
+      ASSERT_EQ(dyn.DeleteBatch(victims), victims.size());
+      for (uint32_t gid : victims) mirror.live[gid] = false;
+    } else {
+      auto batch = GaussianEmbeddings<64>(70 + 30 * round, 62 + round);
+      mirror.Insert(batch);
+      dyn.InsertBatch(batch);
+    }
+    ASSERT_GT(dyn.num_shards(), size_t{1});
+    ExpectEmstMatchesScratch(dyn, mirror);
+    ExpectHdbscanMatchesScratch(dyn, mirror, 8);
+    ExpectHdbscanMatchesScratch(dyn, mirror, 4);
+  }
+}
+
 // --- Duplicates arriving across batches (zero-weight cross edges) --------
 
 TEST(DynamicDuplicates, SplitAcrossBatchesEmstWeightMatches) {
@@ -602,6 +623,29 @@ TEST(DynamicRepair, RepairMaterializesFarFewerPairsThanScratch) {
   EXPECT_LT(repair_pairs * 10, scratch_pairs)
       << "repair " << repair_pairs << " vs scratch " << scratch_pairs;
   ExpectEmstMatchesScratch(dyn, mirror);
+}
+
+// The dense kernel is a fast path: with one shard there is no cross pass,
+// so an HDBSCAN* answer computes no BCCP at all — it would compute
+// thousands if the selector sent 64-d parts to the kd-tree kernel.
+TEST(DynamicOracle, EmbeddingShardMstsComputeNoBccp) {
+  DynamicArtifacts<64> dyn;
+  Mirror<64> mirror;
+  auto base = GaussianEmbeddings<64>(600, 71);
+  mirror.Insert(base);
+  dyn.InsertBatch(base);
+  ASSERT_EQ(dyn.num_shards(), size_t{1});
+  StatsEpoch epoch;
+  EngineRequest req;
+  req.type = QueryType::kHdbscan;
+  req.min_pts = 8;
+  EngineResponse r;
+  ASSERT_TRUE(dyn.Answer(req, /*allow_build=*/true, &r));
+  ASSERT_TRUE(r.ok) << r.error;
+  EmstAnswer(dyn);
+  EXPECT_EQ(epoch.Delta().bccp_computed, 0u);
+  EXPECT_EQ(epoch.Delta().wspd_pairs_visited, 0u);
+  ExpectHdbscanMatchesScratch(dyn, mirror, 8);
 }
 
 // --- Engine integration: shard-aware invalidation ------------------------

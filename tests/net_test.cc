@@ -486,6 +486,50 @@ std::vector<std::string> ReferenceAnswers(
   return out;
 }
 
+// A NaN or +-Inf coordinate is refused where it comes in (binary insert
+// frame, csv and bin loads) with a typed err line, and the dataset keeps
+// answering: before, the next emst aborted the process.
+TEST(ProtocolSession, NonFiniteCoordinatesAreRejectedAtIngress) {
+  ClusteringEngine engine;
+  net::ProtocolOptions popts;
+  popts.show_timing = false;
+  net::ProtocolSession session(engine, popts);
+  ASSERT_EQ(session.HandleLine("dyn d 2").out, "ok dyn d dim=2\n");
+  ASSERT_EQ(session.HandleLine("insert d 0 0 1 1 2 2.5").out,
+            "ok insert d n=3 gids=[0,3)\n");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    std::string payload;
+    net::PutU16(&payload, 1);
+    payload += "d";
+    net::PutU16(&payload, 2);
+    net::PutU32(&payload, 2);
+    for (double v : {3.0, 3.0, 4.0, bad}) net::PutF64(&payload, v);
+    EXPECT_EQ(session.HandleFrame(net::kOpInsertPoints, payload).out,
+              "err insert d: non-finite coordinate in row 1\n");
+  }
+  std::string emst = session.HandleLine("emst d").out;
+  EXPECT_EQ(emst.rfind("ok emst d mst_edges=2 ", 0), 0u) << emst;
+  EXPECT_EQ(session.HandleLine("insert d 5 5").out,
+            "ok insert d n=1 gids=[3,4)\n");
+
+  const std::string csv = ::testing::TempDir() + "/nonfinite.csv";
+  {
+    std::ofstream f(csv);
+    f << "0,0\n# comment\n1,nan\n";
+  }
+  EXPECT_EQ(session.HandleLine("load c csv " + csv).out,
+            "err load: " + csv + " line 3: non-finite coordinate\n");
+  const std::string bin = ::testing::TempDir() + "/nonfinite.bin";
+  WritePointsBin(bin, std::vector<std::vector<double>>{{0, 0}, {1, -inf}});
+  EXPECT_EQ(session.HandleLine("load b bin " + bin).out,
+            "err load: " + bin + " row 1: non-finite coordinate\n");
+  EXPECT_EQ(session.HandleLine("list").out.find("dataset c"),
+            std::string::npos);
+  std::remove(csv.c_str());
+  std::remove(bin.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Loopback integration
 

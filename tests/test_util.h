@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -57,6 +59,23 @@ inline std::vector<double> SortedWeights(const std::vector<WeightedEdge>& edges)
   for (size_t i = 0; i < edges.size(); ++i) w[i] = edges[i].w;
   std::sort(w.begin(), w.end());
   return w;
+}
+
+/// Renumbers cluster labels by first occurrence so two labelings of the
+/// same partition compare equal (label ids are "dense but arbitrary");
+/// negative (noise) labels stay as they are.
+inline std::vector<int32_t> NormalizedLabels(const std::vector<int32_t>& in) {
+  std::vector<int32_t> out(in.size());
+  std::map<int32_t, int32_t> remap;
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (in[i] < 0) {
+      out[i] = in[i];
+      continue;
+    }
+    out[i] =
+        remap.emplace(in[i], static_cast<int32_t>(remap.size())).first->second;
+  }
+  return out;
 }
 
 /// Typed points as runtime rows (the registry/engine ingestion format).
